@@ -2,22 +2,17 @@
 
 Subcommands:
 
-* gen     - generate family polynomials (optionally through an on-disk cache)
+* gen     - generate family polynomials
 * oracle  - brute-force distribution polynomials from group enumeration
 * verify  - run the verification suite (exit 1 when any check fails)
 * scan    - threshold bracketing / distinct-roots region scans
 * zigzag  - Euler zigzag numbers
 
-Output formats are text, json, and csv.  Machine formats are byte-identical
-for identical argv: coefficients and rationals are serialized as decimal
-strings (family coefficients overflow 64-bit integers around rank 20), and
-elapsed times appear only in the text format.  JSON payloads carry a
-"schema": 1 version field.
-
-The cache stores one JSON file per (family, rank), written atomically
-(temp file + rename) so concurrent runs never observe torn files.  Each run
-that uses the cache re-derives one randomly chosen cached entry and refuses
-to continue if it does not match.
+Output formats are text, json, and csv, all produced by `emit`.  Machine
+formats are byte-identical for identical argv: coefficients and rationals
+are serialized as decimal strings (family coefficients overflow 64-bit
+integers around rank 20), and elapsed times appear only in the text format.
+JSON payloads carry a "schema": 1 version field.
 
 Exit codes: 0 success / all checks pass, 1 verification failures, 2 usage or
 domain errors.
@@ -27,71 +22,29 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import decimal
 import io
 import json
-import os
 import random
 import sys
-import tempfile
 from fractions import Fraction
-from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import lab, oracle
-from .eulerian import (
-    FAMILIES,
-    ConsistencyError,
-    FamilyId,
-    ZigzagTable,
-    family_polynomial,
-    zigzag,
-)
+from .eulerian import FAMILIES, ConsistencyError, FamilyId, ZigzagTable, family_polynomial, zigzag
 from .lab import BracketError, MonotonicityError, ThresholdBracket, VerificationReport
 from .oracle import BudgetExceededError
 from .polynomial import Polynomial
 from .stability import approximate_real_roots
 
 SCHEMA_VERSION = 1
-CACHE_ENV_VAR = "EULERSTAB_CACHE_DIR"
 FORMATS = ("text", "json", "csv")
-VERIFY_CHECKS = ("identities", "interlacing", "half-reciprocal", "stability", "operator-symbol", "all")
+# Lowest --n-max each verify check can run at.
+_CHECK_MIN_RANK = {
+    "identities": 2, "interlacing": 2, "half-reciprocal": 1, "stability": 2, "operator-symbol": 1
+}
+VERIFY_CHECKS = (*_CHECK_MIN_RANK, "all")
 _OPERATOR_SEED = 0x0E57AB
-
-
-class CacheError(RuntimeError):
-    """A cached polynomial disagrees with its re-derivation."""
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-
-@dataclasses.dataclass
-class CliConfig:
-    subcommand: str
-    fmt: str = "text"
-    family: Optional[str] = None
-    group: Optional[str] = None
-    stat: Optional[str] = None
-    filter: str = "all"
-    n: Optional[int] = None
-    n_max: Optional[int] = None
-    check: Optional[str] = None
-    conjecture: Optional[str] = None
-    width: Fraction = Fraction(1, 10**6)
-    ks: Optional[List[Fraction]] = None
-    cache_dir: Optional[Path] = None
-    budget: int = oracle.DEFAULT_BUDGET
-    roots: bool = False
-
-    def ranks(self) -> List[int]:
-        assert self.n is not None
-        hi = self.n if self.n_max is None else self.n_max
-        if hi < self.n:
-            raise ValueError(f"empty rank range {self.n}..{hi}")
-        return list(range(self.n, hi + 1))
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -112,15 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", dest="fmt", choices=FORMATS, default="text")
-        p.add_argument(
-            "--cache-dir",
-            type=Path,
-            default=None,
-            help=f"polynomial cache directory (or set {CACHE_ENV_VAR})",
-        )
-        p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET, help="enumeration budget")
 
     p = sub.add_parser("gen", help="generate family polynomials")
     p.add_argument("--family", required=True, choices=FAMILIES)
@@ -131,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print 20-digit decimal root approximations (text format only)",
     )
-    add_common(p)
+    add_format(p)
 
     p = sub.add_parser("oracle", help="brute-force distribution polynomials")
     p.add_argument("--group", required=True, choices=oracle.GROUPS)
@@ -139,13 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", default="all", choices=oracle.FILTERS)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--n-max", type=int, default=None)
-    add_common(p)
+    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET, help="enumeration budget")
+    add_format(p)
 
     p = sub.add_parser("verify", help="run verification checks")
     p.add_argument("--check", required=True, choices=VERIFY_CHECKS)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--ks", type=_parse_rational_list, default=None, help="comma-separated rational k values")
-    add_common(p)
+    add_format(p)
 
     p = sub.add_parser("scan", help="scan conjectured stability regions")
     p.add_argument("--conjecture", required=True, choices=("stable", "distinct-roots"))
@@ -153,11 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--width", type=_parse_rational, default=Fraction(1, 10**6))
     p.add_argument("--ks", type=_parse_rational_list, default=None)
-    add_common(p)
+    add_format(p)
 
     p = sub.add_parser("zigzag", help="Euler zigzag numbers E_0..E_n")
     p.add_argument("--n", required=True, type=int)
-    add_common(p)
+    add_format(p)
 
     return parser
 
@@ -215,231 +162,181 @@ def zigzag_record(table: ZigzagTable) -> dict:
     }
 
 
-def _json_dump(records: List[dict]) -> str:
-    if len(records) == 1:
-        return json.dumps(records[0], sort_keys=True)
-    return json.dumps({"schema": SCHEMA_VERSION, "items": records}, sort_keys=True)
-
-
-def _csv_dump(header: List[str], rows: List[List[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
-
-
-def _poly_label(rec: dict) -> str:
+def _polynomial_text(rec: dict) -> str:
+    poly = polynomial_from_record(rec)
     if "family" in rec:
-        return f"{rec['family']}({rec['n']})"
-    return f"{rec['group']}/{rec['stat']}/{rec['filter']}({rec['n']})"
+        return f"{rec['family']}({rec['n']}) = {poly}"
+    if "group" in rec:
+        return f"{rec['group']}/{rec['stat']}/{rec['filter']}({rec['n']}) = {poly}"
+    return str(poly)
 
 
-def _polynomials_text(records: List[dict]) -> str:
-    return "\n".join(f"{_poly_label(rec)} = {polynomial_from_record(rec)}" for rec in records)
-
-
-def _polynomials_csv(records: List[dict]) -> str:
+def _polynomials_table(records: List[dict]):
     width = max(len(rec["coeffs"]) for rec in records)
-    meta_keys = [k for k in ("family", "group", "stat", "filter") if k in records[0]]
-    header = meta_keys + ["n", "degree"] + [f"c{i}" for i in range(width)]
-    rows = []
-    for rec in records:
-        coeffs = rec["coeffs"]
-        degree = len(coeffs) - 1
-        rows.append(
-            [str(rec[k]) for k in meta_keys]
-            + [str(rec["n"]), str(degree)]
-            + coeffs
-            + [""] * (width - len(coeffs))
-        )
-    return _csv_dump(header, rows)
+    meta_keys = [k for k in ("family", "group", "stat", "filter", "n") if k in records[0]]
+    header = meta_keys + ["degree"] + [f"c{i}" for i in range(width)]
+    rows = [
+        [str(rec[k]) for k in meta_keys]
+        + [str(len(rec["coeffs"]) - 1)]
+        + rec["coeffs"]
+        + [""] * (width - len(rec["coeffs"]))
+        for rec in records
+    ]
+    return header, rows
 
 
-def _reports_text(reports: List[VerificationReport]) -> str:
-    lines = []
-    for r in reports:
-        lo, hi = r.rank_range
-        lines.append(
-            f"{r.status.upper()} {r.checks_run} checks ({r.check_id}, ranks {lo}..{hi}) [{r.elapsed:.2f}s]"
-        )
-        for rank, msg in r.failures:
-            lines.append(f"  FAIL rank {rank}: {msg}")
-        for obs in r.observations:
-            lines.append(f"  note: {obs}")
+def _report_text(r: VerificationReport) -> str:
+    lo, hi = r.rank_range
+    lines = [f"{r.status.upper()} {r.checks_run} checks ({r.check_id}, ranks {lo}..{hi}) [{r.elapsed:.2f}s]"]
+    lines += [f"  FAIL rank {rank}: {msg}" for rank, msg in r.failures]
+    lines += [f"  note: {obs}" for obs in r.observations]
     return "\n".join(lines)
 
 
-def _reports_csv(reports: List[VerificationReport]) -> str:
+def _reports_table(reports: List[VerificationReport]):
     header = ["check", "rank_lo", "rank_hi", "status", "checks", "failures", "observations"]
-    rows = []
-    for r in reports:
-        rows.append(
-            [
-                r.check_id,
-                str(r.rank_range[0]),
-                str(r.rank_range[1]),
-                r.status,
-                str(r.checks_run),
-                "; ".join(f"rank {rank}: {msg}" for rank, msg in r.failures),
-                "; ".join(r.observations),
-            ]
-        )
-    return _csv_dump(header, rows)
+    rows = [
+        [
+            r.check_id,
+            str(r.rank_range[0]),
+            str(r.rank_range[1]),
+            r.status,
+            str(r.checks_run),
+            "; ".join(f"rank {rank}: {msg}" for rank, msg in r.failures),
+            "; ".join(r.observations),
+        ]
+        for r in reports
+    ]
+    return header, rows
 
 
-def _brackets_text(brackets: List[ThresholdBracket]) -> str:
-    lines = []
-    for b in brackets:
-        lines.append(
-            f"stable-threshold n={b.n}: conjectured {b.conjectured} "
-            f"(approx {_decimal_str(b.conjectured)}), bracket [{b.lower}, {b.upper}], "
-            f"width {b.width} (midpoint approx {_decimal_str((b.lower + b.upper) / 2)})"
-        )
-    return "\n".join(lines)
+def _bracket_text(b: ThresholdBracket) -> str:
+    return (
+        f"stable-threshold n={b.n}: conjectured {b.conjectured} "
+        f"(approx {_decimal_str(b.conjectured)}), bracket [{b.lower}, {b.upper}], "
+        f"width {b.width} (midpoint approx {_decimal_str((b.lower + b.upper) / 2)})"
+    )
 
 
-def _brackets_csv(brackets: List[ThresholdBracket]) -> str:
+def _brackets_table(brackets: List[ThresholdBracket]):
     header = ["n", "conjectured", "lower", "upper", "width"]
     rows = [[str(b.n), str(b.conjectured), str(b.lower), str(b.upper), str(b.width)] for b in brackets]
-    return _csv_dump(header, rows)
+    return header, rows
 
 
-def emit(obj, fmt: str, **meta) -> str:
-    """Serialize a polynomial, zigzag table, report, or threshold bracket."""
+def _zigzag_text(table: ZigzagTable) -> str:
+    return "E_0..E_{}: {}".format(len(table) - 1, ", ".join(str(v) for v in table.values))
+
+
+def _zigzags_table(tables: List[ZigzagTable]):
+    header = [f"E{i}" for i in range(len(tables[0]))]
+    return header, [[str(v) for v in t.values] for t in tables]
+
+
+# Per kind: (JSON record, text of one item, CSV header and rows of all items).
+_KINDS = {
+    dict: (lambda rec: rec, _polynomial_text, _polynomials_table),
+    VerificationReport: (report_record, _report_text, _reports_table),
+    ThresholdBracket: (bracket_record, _bracket_text, _brackets_table),
+    ZigzagTable: (zigzag_record, _zigzag_text, _zigzags_table),
+}
+
+
+def emit(obj, fmt: str, *, summary: bool = False, **meta) -> str:
+    """Serialize one object, or a list of objects of one kind, in `fmt`.
+
+    Polynomials come as `polynomial_record` dicts, or as one Polynomial with
+    its record fields in `meta`; the other kinds are zigzag tables,
+    verification reports and threshold brackets.  A list of several items
+    becomes one JSON document with an "items" array, one CSV table, or one
+    text line (block, for reports) per item.  `summary` ends a text report
+    list with the overall verdict and check count.
+    """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     if isinstance(obj, Polynomial):
-        rec = polynomial_record(obj, **meta)
-        if fmt == "json":
-            return _json_dump([rec])
-        if fmt == "csv":
-            return _polynomials_csv([rec])
-        return _polynomials_text([rec]) if meta else str(obj)
-    if isinstance(obj, ZigzagTable):
-        rec = zigzag_record(obj)
-        if fmt == "json":
-            return _json_dump([rec])
-        if fmt == "csv":
-            return _csv_dump([f"E{i}" for i in range(len(obj))], [list(rec["values"])])
-        return "E_0..E_{}: {}".format(len(obj) - 1, ", ".join(rec["values"]))
-    if isinstance(obj, VerificationReport):
-        if fmt == "json":
-            return _json_dump([report_record(obj)])
-        if fmt == "csv":
-            return _reports_csv([obj])
-        return _reports_text([obj])
-    if isinstance(obj, ThresholdBracket):
-        if fmt == "json":
-            return _json_dump([bracket_record(obj)])
-        if fmt == "csv":
-            return _brackets_csv([obj])
-        return _brackets_text([obj])
-    raise TypeError(f"cannot emit {type(obj).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# cache
-
-
-def _cache_path(cache_dir: Path, fid: FamilyId) -> Path:
-    return cache_dir / f"{fid.tag}_{fid.rank}.json"
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def load_or_generate(cache_dir: Optional[Path], fid: FamilyId) -> Polynomial:
-    if cache_dir is None:
-        return family_polynomial(fid)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = _cache_path(cache_dir, fid)
-    if path.exists():
-        try:
-            rec = json.loads(path.read_text())
-            if rec.get("family") != fid.tag or rec.get("n") != fid.rank:
-                raise CacheError(f"cache entry {path.name} is mislabeled")
-            return polynomial_from_record(rec)
-        except (AttributeError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise CacheError(f"cache entry {path.name} is unreadable: {exc}") from exc
-    poly = family_polynomial(fid)
-    _atomic_write(path, _json_dump([polynomial_record(poly, family=fid.tag, n=fid.rank)]))
-    return poly
-
-
-def validate_cache_sample(cache_dir: Path) -> None:
-    """Re-derive one randomly chosen cached entry; raise CacheError on mismatch."""
-    files = sorted(cache_dir.glob("*.json"))
-    if not files:
-        return
-    path = random.choice(files)
-    try:
-        rec = json.loads(path.read_text())
-        fid = FamilyId(rec["family"], rec["n"])
-        cached = polynomial_from_record(rec)
-    except (AttributeError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise CacheError(f"cache entry {path.name} is unreadable: {exc}") from exc
-    if cached != family_polynomial(fid):
-        raise CacheError(f"cache entry {path.name} does not match its re-derivation")
+        obj = polynomial_record(obj, **meta)
+    items = obj if isinstance(obj, list) else [obj]
+    kind = _KINDS.get(type(items[0])) if items else None
+    if kind is None:
+        raise TypeError(f"cannot emit {type(obj).__name__}")
+    to_record, to_text, to_table = kind
+    if fmt == "json":
+        records = [to_record(item) for item in items]
+        doc = records[0] if len(records) == 1 else {"schema": SCHEMA_VERSION, "items": records}
+        return json.dumps(doc, sort_keys=True)
+    if fmt == "csv":
+        header, rows = to_table(items)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue().rstrip("\n")
+    text = "\n".join(to_text(item) for item in items)
+    if summary:
+        status = "FAIL" if _failed(items) else "PASS"
+        text += f"\n{status} {sum(r.checks_run for r in items)} checks total"
+    return text
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_gen(cfg: CliConfig) -> tuple[str, int]:
-    if cfg.roots and cfg.fmt != "text":
+def _ranks(ns: argparse.Namespace) -> List[int]:
+    hi = ns.n if ns.n_max is None else ns.n_max
+    if hi < ns.n:
+        raise ValueError(f"empty rank range {ns.n}..{hi}")
+    return list(range(ns.n, hi + 1))
+
+
+def _failed(reports: List[VerificationReport]) -> bool:
+    return any(r.status == "fail" for r in reports)
+
+
+def _root_lines(poly: Polynomial) -> List[str]:
+    if poly.degree < 1:
+        return ["  no real roots"]
+    return [
+        f"  real root approx {_decimal_str(mid)} (multiplicity {mult})"
+        for mid, mult in approximate_real_roots(poly)
+    ]
+
+
+def _cmd_gen(ns: argparse.Namespace) -> tuple[str, int]:
+    if ns.roots and ns.fmt != "text":
         raise ValueError("--roots is only available with the text format")
     records = []
-    polys = []
-    for n in cfg.ranks():
-        fid = FamilyId(cfg.family, n)
-        poly = load_or_generate(cfg.cache_dir, fid)
-        polys.append(poly)
-        records.append(polynomial_record(poly, family=fid.tag, n=fid.rank))
-    if cfg.fmt == "json":
-        return _json_dump(records), 0
-    if cfg.fmt == "csv":
-        return _polynomials_csv(records), 0
-    if not cfg.roots:
-        return _polynomials_text(records), 0
     lines = []
-    for rec, poly in zip(records, polys):
-        lines.append(f"{_poly_label(rec)} = {poly}")
-        if poly.degree >= 1:
-            for mid, mult in approximate_real_roots(poly):
-                lines.append(f"  real root approx {_decimal_str(mid)} (multiplicity {mult})")
-        else:
-            lines.append("  no real roots")
-    return "\n".join(lines), 0
+    for n in _ranks(ns):
+        fid = FamilyId(ns.family, n)
+        poly = family_polynomial(fid)
+        records.append(polynomial_record(poly, family=fid.tag, n=fid.rank))
+        if ns.roots:
+            lines += [emit(records[-1], "text"), *_root_lines(poly)]
+    return ("\n".join(lines) if ns.roots else emit(records, ns.fmt)), 0
 
 
-def _cmd_oracle(cfg: CliConfig) -> tuple[str, int]:
-    records = []
-    for n in cfg.ranks():
-        poly = oracle.distribution(cfg.group, cfg.stat, n, cfg.filter, budget=cfg.budget)
-        records.append(
-            polynomial_record(poly, group=cfg.group, stat=cfg.stat, filter=cfg.filter, n=n)
+def _cmd_oracle(ns: argparse.Namespace) -> tuple[str, int]:
+    records = [
+        polynomial_record(
+            oracle.distribution(ns.group, ns.stat, n, ns.filter, budget=ns.budget),
+            group=ns.group,
+            stat=ns.stat,
+            filter=ns.filter,
+            n=n,
         )
-    if cfg.fmt == "json":
-        return _json_dump(records), 0
-    if cfg.fmt == "csv":
-        return _polynomials_csv(records), 0
-    return _polynomials_text(records), 0
+        for n in _ranks(ns)
+    ]
+    return emit(records, ns.fmt), 0
 
 
-def _verify_reports(cfg: CliConfig) -> List[VerificationReport]:
-    n_max = cfg.n_max if cfg.n_max is not None else 10
-    wanted = cfg.check
+def _verify_reports(ns: argparse.Namespace) -> List[VerificationReport]:
+    n_max = ns.n_max
+    wanted = ns.check
+    for check, lowest in _CHECK_MIN_RANK.items():
+        if wanted in (check, "all") and n_max < lowest:
+            raise ValueError(f"check {check} needs --n-max >= {lowest}, got {n_max}")
     reports: List[VerificationReport] = []
     if wanted in ("identities", "all"):
         reports.append(lab.verify_identities(n_max))
@@ -458,14 +355,14 @@ def _verify_reports(cfg: CliConfig) -> List[VerificationReport]:
     if wanted in ("stability", "all"):
         per_rank = []
         for n in range(2, n_max + 1):
-            ks = cfg.ks if cfg.ks is not None else lab.default_k_grid(n)
+            ks = ns.ks if ns.ks is not None else lab.default_k_grid(n)
             per_rank.append(lab.verify_family_stability(n, ks))
         reports.append(lab.merge_reports("family-stability", per_rank))
     if wanted in ("operator-symbol", "all"):
         rng = random.Random(_OPERATOR_SEED)
         per_rank = []
         for n in range(1, n_max + 1):
-            ks = cfg.ks
+            ks = ns.ks
             if ks is None:
                 ks = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(3)]
             per_rank.append(
@@ -475,92 +372,46 @@ def _verify_reports(cfg: CliConfig) -> List[VerificationReport]:
     return reports
 
 
-def _cmd_verify(cfg: CliConfig) -> tuple[str, int]:
-    reports = _verify_reports(cfg)
-    failed = any(r.status == "fail" for r in reports)
-    if cfg.fmt == "json":
-        out = _json_dump([report_record(r) for r in reports])
-    elif cfg.fmt == "csv":
-        out = _reports_csv(reports)
-    else:
-        total = sum(r.checks_run for r in reports)
-        status = "FAIL" if failed else "PASS"
-        out = _reports_text(reports) + f"\n{status} {total} checks total"
-    return out, 1 if failed else 0
+def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
+    reports = _verify_reports(ns)
+    return emit(reports, ns.fmt, summary=True), 1 if _failed(reports) else 0
 
 
-def _cmd_scan(cfg: CliConfig) -> tuple[str, int]:
-    if cfg.conjecture == "stable":
-        brackets = [lab.critical_k(n, cfg.width) for n in cfg.ranks()]
-        if cfg.fmt == "json":
-            return _json_dump([bracket_record(b) for b in brackets]), 0
-        if cfg.fmt == "csv":
-            return _brackets_csv(brackets), 0
-        return _brackets_text(brackets), 0
-    reports = []
-    for n in cfg.ranks():
-        ks = cfg.ks if cfg.ks is not None else lab.default_distinct_grid(n)
-        reports.append(lab.scan_distinct_roots(n, ks))
-    failed = any(r.status == "fail" for r in reports)
-    if cfg.fmt == "json":
-        out = _json_dump([report_record(r) for r in reports])
-    elif cfg.fmt == "csv":
-        out = _reports_csv(reports)
-    else:
-        out = _reports_text(reports)
-    return out, 1 if failed else 0
+def _cmd_scan(ns: argparse.Namespace) -> tuple[str, int]:
+    if ns.conjecture == "stable":
+        return emit([lab.critical_k(n, ns.width) for n in _ranks(ns)], ns.fmt), 0
+    reports = [
+        lab.scan_distinct_roots(n, ns.ks if ns.ks is not None else lab.default_distinct_grid(n))
+        for n in _ranks(ns)
+    ]
+    return emit(reports, ns.fmt), 1 if _failed(reports) else 0
 
 
-def _cmd_zigzag(cfg: CliConfig) -> tuple[str, int]:
-    return emit(zigzag(cfg.n), cfg.fmt), 0
+def _cmd_zigzag(ns: argparse.Namespace) -> tuple[str, int]:
+    return emit(zigzag(ns.n), ns.fmt), 0
+
+
+_COMMANDS = {
+    "gen": _cmd_gen,
+    "oracle": _cmd_oracle,
+    "verify": _cmd_verify,
+    "scan": _cmd_scan,
+    "zigzag": _cmd_zigzag,
+}
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
-def _config_from_namespace(ns: argparse.Namespace) -> CliConfig:
-    cache_dir = getattr(ns, "cache_dir", None)
-    if cache_dir is None and os.environ.get(CACHE_ENV_VAR):
-        cache_dir = Path(os.environ[CACHE_ENV_VAR])
-    return CliConfig(
-        subcommand=ns.subcommand,
-        fmt=getattr(ns, "fmt", "text"),
-        family=getattr(ns, "family", None),
-        group=getattr(ns, "group", None),
-        stat=getattr(ns, "stat", None),
-        filter=getattr(ns, "filter", "all"),
-        n=getattr(ns, "n", None),
-        n_max=getattr(ns, "n_max", None),
-        check=getattr(ns, "check", None),
-        conjecture=getattr(ns, "conjecture", None),
-        width=getattr(ns, "width", Fraction(1, 10**6)),
-        ks=getattr(ns, "ks", None),
-        cache_dir=cache_dir,
-        budget=getattr(ns, "budget", oracle.DEFAULT_BUDGET),
-        roots=getattr(ns, "roots", False),
-    )
-
-
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _config_from_namespace(ns)
     try:
-        if cfg.cache_dir is not None and cfg.cache_dir.is_dir():
-            validate_cache_sample(cfg.cache_dir)
-        handler = {
-            "gen": _cmd_gen,
-            "oracle": _cmd_oracle,
-            "verify": _cmd_verify,
-            "scan": _cmd_scan,
-            "zigzag": _cmd_zigzag,
-        }[cfg.subcommand]
-        out, code = handler(cfg)
-    except (ValueError, BudgetExceededError, CacheError) as exc:
+        out, code = _COMMANDS[ns.subcommand](ns)
+    except (ValueError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BracketError, MonotonicityError, ConsistencyError) as exc:

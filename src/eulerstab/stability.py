@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .polynomial import (
     Polynomial,
@@ -158,10 +158,11 @@ def squarefree_decompose(p: Polynomial) -> Tuple[Tuple[Polynomial, int], ...]:
     return tuple(out)
 
 
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """Monic product of the distinct irreducible factors of p."""
+def _squarefree_product(factors: Sequence[Tuple[Polynomial, int]]) -> Polynomial:
+    """Product of the squarefree factors of a decomposition: the monic
+    polynomial with the same distinct roots, each simple."""
     out = Polynomial.one()
-    for q, _ in squarefree_decompose(p):
+    for q, _ in factors:
         out = out * q
     return out
 
@@ -223,15 +224,20 @@ def _pow2_at_most(x: Fraction) -> Fraction:
     return b
 
 
+# Stopping width for refining an isolating interval (a, b): refinement
+# bisects while b - a exceeds width(a, b).
+_Width = Callable[[Fraction, Fraction], Fraction]
+
+
 def _isolate_squarefree(
-    s: Polynomial, min_width: Optional[Fraction]
+    s: Polynomial, width: Optional[_Width]
 ) -> Tuple[List[Fraction], List[Tuple[Fraction, Fraction]]]:
     """Isolate all real roots of a squarefree polynomial.
 
     Returns (points, intervals): exact rational roots discovered along the
-    way, plus open intervals holding exactly one root each.  When min_width
-    is given, intervals are refined at least that narrow (unless the root is
-    found exactly first).
+    way, plus open intervals holding exactly one root each.  When width is
+    given, each interval is refined until b - a <= width(a, b) (unless the
+    root is found exactly first).
     """
     points: List[Fraction] = []
     intervals: List[Tuple[Fraction, Fraction]] = []
@@ -271,8 +277,8 @@ def _isolate_squarefree(
 
     def refine(a: Fraction, b: Fraction) -> None:
         # exactly one root in (a, b)
-        if min_width is not None:
-            while b - a > min_width:
+        if width is not None:
+            while b - a > width(a, b):
                 m = (a + b) / 2
                 if s(m) == 0:
                     points.append(m)
@@ -355,13 +361,14 @@ def isolate_real_roots(
     min_width=None skips width refinement and stops as soon as the
     locations are pairwise isolating (cheapest option for ordering work).
     """
+    return _isolate(p, None if min_width is None else lambda a, b: min_width)
+
+
+def _isolate(p: Polynomial, width: Optional[_Width]) -> RootIsolation:
     if p.is_zero or p.degree < 1:
         raise ValueError("root isolation requires a nonconstant polynomial")
     factors = squarefree_decompose(p)
-    s = Polynomial.one()
-    for q, _ in factors:
-        s = s * q
-    points, intervals = _isolate_squarefree(s, min_width)
+    points, intervals = _isolate_squarefree(_squarefree_product(factors), width)
     fchains = [(q, m, sturm_chain(q) if q.degree >= 1 else None) for q, m in factors]
 
     roots: List[IsolatedRoot] = []
@@ -388,30 +395,9 @@ def approximate_real_roots(p: Polynomial, digits: int = 20) -> List[Tuple[Fracti
 
     The midpoints are approximations; every decision elsewhere stays exact.
     """
-    iso = isolate_real_roots(p, min_width=None)
-    if not iso.roots:
-        return []
-    s = squarefree_part(p)
-    chain = sturm_chain(s)
     rel = Fraction(1, 10 ** (digits + 1))
-    out: List[Tuple[Fraction, int]] = []
-    for root in iso:
-        if root.is_point:
-            out.append((root.lo, root.multiplicity))
-            continue
-        a, b = root.lo, root.hi
-        found = None
-        while b - a > max(abs(a), abs(b)) * rel:
-            m = (a + b) / 2
-            if s(m) == 0:
-                found = m
-                break
-            if chain.count(a, m) == 1:
-                b = m
-            else:
-                a = m
-        out.append((found if found is not None else (a + b) / 2, root.multiplicity))
-    return out
+    iso = _isolate(p, lambda a, b: max(abs(a), abs(b)) * rel)
+    return [(root.midpoint, root.multiplicity) for root in iso]
 
 
 def is_real_rooted(p: Polynomial) -> bool:
@@ -449,12 +435,8 @@ def _distinct_location_table(f: Polynomial, g: Polynomial) -> List[_Location]:
     the squarefree part of f*g, so coincident roots land in one location."""
     ff = squarefree_decompose(f)
     gg = squarefree_decompose(g)
-    u = Polynomial.one()
-    for q, _ in ff:
-        u = u * q
-    v = Polynomial.one()
-    for q, _ in gg:
-        v = v * q
+    u = _squarefree_product(ff)
+    v = _squarefree_product(gg)
     w = (u * v).exact_div(poly_gcd(u, v))
     if w.degree < 1:
         return []
@@ -505,9 +487,12 @@ def interlaces(g: Polynomial, f: Polynomial) -> bool:
         raise ValueError("interlacing requires positive leading coefficients")
     if g.degree not in (f.degree - 1, f.degree):
         raise ValueError("degree of g must be deg(f) or deg(f) - 1")
-    if not is_real_rooted(f) or not is_real_rooted(g):
+    locs = _distinct_location_table(f, g)
+    # Each real root lands in one location, so the totals reach the degrees
+    # exactly when f and g are real-rooted.
+    if sum(l.mult_f for l in locs) != f.degree or sum(l.mult_g for l in locs) != g.degree:
         raise ValueError("interlacing requires real-rooted polynomials")
-    return _alternation_holds(_distinct_location_table(f, g))
+    return _alternation_holds(locs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""CLI behavior: formats, exit codes, determinism, and the polynomial cache."""
+"""CLI behavior: formats, exit codes, and determinism."""
 
+import hashlib
 import io
 import json
+from pathlib import Path
 from contextlib import redirect_stdout
 
 import pytest
@@ -163,9 +165,35 @@ def test_scan_distinct_roots_exit_0():
     assert len(rec["observations"]) == 3
 
 
+@pytest.mark.parametrize(
+    "check, n_max, lowest",
+    [
+        ("identities", 1, 2),
+        ("interlacing", 1, 2),
+        ("stability", 1, 2),
+        ("half-reciprocal", 0, 1),
+        ("operator-symbol", 0, 1),
+        ("all", 1, 2),
+    ],
+)
+def test_verify_n_max_below_check_minimum_exit_2(check, n_max, lowest, capsys):
+    code = run(["verify", "--check", check, "--n-max", str(n_max)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1
+    assert f"needs --n-max >= {lowest}" in err
+    if check != "all":
+        assert check in err
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["bogus"]) == 2
     assert main([]) == 2
+
+
+def test_budget_only_on_oracle(capsys):
+    for argv in (["gen", "--family", "B", "--n", "2"], ["zigzag", "--n", "3"]):
+        assert run(argv + ["--budget", "5"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -181,43 +209,23 @@ def test_identical_argv_identical_bytes():
     assert _capture(argv) == _capture(argv)
 
 
-# ---------------------------------------------------------------------------
-# cache
+def test_emit_list_matches_cli():
+    records = [polynomial_record(eulerian_b(n), family="B", n=n) for n in (1, 2, 3)]
+    for fmt in ("json", "csv", "text"):
+        code, out = _capture(["gen", "--family", "B", "--n", "1", "--n-max", "3", "--format", fmt])
+        assert code == 0
+        assert out == emit(records, fmt) + "\n"
 
 
-def test_cache_round_trip_and_byte_identical(tmp_path):
-    argv = ["gen", "--family", "D", "--n", "5", "--format", "json", "--cache-dir", str(tmp_path)]
-    first = _capture(argv)
-    assert (tmp_path / "D_5.json").exists()
-    second = _capture(argv)
-    assert first == second == (0, first[1])
+_EXPECTED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "expected_cli.json"
 
 
-def test_cache_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("EULERSTAB_CACHE_DIR", str(tmp_path))
-    code, _ = _capture(["gen", "--family", "B", "--n", "4", "--format", "json"])
-    assert code == 0
-    assert (tmp_path / "B_4.json").exists()
-
-
-def test_corrupted_cache_detected(tmp_path):
-    argv = ["gen", "--family", "B", "--n", "3", "--format", "json", "--cache-dir", str(tmp_path)]
-    assert _capture(argv)[0] == 0
-    path = tmp_path / "B_3.json"
-    rec = json.loads(path.read_text())
-    rec["coeffs"][1] = "999"
-    path.write_text(json.dumps(rec))
-    code, _ = _capture(argv)
-    assert code == 2
-
-
-def test_cached_entry_reused(tmp_path):
-    # a hand-written (correct) cache entry is served as-is
-    poly = eulerian_b(2)
-    rec = polynomial_record(poly, family="B", n=2)
-    (tmp_path / "B_2.json").write_text(json.dumps(rec, sort_keys=True))
-    code, out = _capture(
-        ["gen", "--family", "B", "--n", "2", "--format", "json", "--cache-dir", str(tmp_path)]
-    )
-    assert code == 0
-    assert polynomial_from_record(json.loads(out)) == poly
+def test_recorded_cli_digests():
+    # The benchmark's fixed commands: stdout must match the digests recorded
+    # for the reference implementation byte for byte.
+    digests = json.loads(_EXPECTED_CLI.read_text())["stdout_sha256"]
+    assert digests
+    for line, digest in sorted(digests.items()):
+        code, out = _capture(line.split())
+        assert code == 0, line
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, line
