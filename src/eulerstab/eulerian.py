@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from fractions import Fraction
-from typing import NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .polynomial import Polynomial
 
@@ -75,15 +75,18 @@ class FamilyId:
             )
 
 
-@functools.cache
+_A_RANKS: List[Polynomial] = [Polynomial.one()]  # A_0, A_1, ... built so far
+
+
 def eulerian_a(m: int) -> Polynomial:
-    """Type-A Eulerian polynomial A_m (descents of m+1 letters)."""
+    """Type-A Eulerian polynomial A_m (descents of m+1 letters), built
+    bottom-up so that no call recurses, however large m is."""
     if m < 0:
         raise ValueError("type-A index must be nonnegative")
-    if m == 0:
-        return Polynomial.one()
-    prev = eulerian_a(m - 1)
-    return Polynomial([1, m]) * prev - Polynomial([0, -1, 1]) * prev.derivative()
+    while len(_A_RANKS) <= m:
+        r, prev = len(_A_RANKS), _A_RANKS[-1]
+        _A_RANKS.append(Polynomial([1, r]) * prev - Polynomial([0, -1, 1]) * prev.derivative())
+    return _A_RANKS[m]
 
 
 @functools.cache

@@ -102,6 +102,8 @@ class ThresholdBracket:
 
 
 def merge_reports(check_id: str, reports: Sequence[VerificationReport]) -> VerificationReport:
+    if not reports:
+        raise ValueError("merge_reports needs at least one report")
     merged = VerificationReport(
         check_id,
         (min(r.rank_range[0] for r in reports), max(r.rank_range[1] for r in reports)),
@@ -197,8 +199,7 @@ def _identity_checks(n: int) -> List[Tuple[str, Polynomial, Polynomial]]:
         return out
     a_prev2 = eulerian_a(n - 2)
     out.append(("d-from-b", eulerian_d(n), eulerian_b(n) - n * 2 ** (n - 1) * _X * a_prev2))
-    b_prev = Polynomial.one() if n == 1 else eulerian_b(n - 1)
-    out.append(("affine-b-formula", affine_b(n), _TWO_X * (2**n * a_prev - n * b_prev)))
+    out.append(("affine-b-formula", affine_b(n), _TWO_X * (2**n * a_prev - n * eulerian_b(n - 1))))
     out.append(
         (
             "even-odd-d-affine",
@@ -250,10 +251,11 @@ def verify_d_affine_b(n: int) -> VerificationReport:
     report.check(n, is_real_rooted(d), "type-D polynomial is not real-rooted")
     report.check(n, is_real_rooted(ab), "affine type-B polynomial is not real-rooted")
     report.check(n, interlaces(d, ab), "type-D roots do not interlace the affine type-B roots")
-    even, odd = padded_stability_source(n).even_odd_split()
+    padded = padded_stability_source(n)
+    even, odd = padded.even_odd_split()
     report.check(n, even == d, "even part of the padded source is not D_n")
     report.check(n, _TWO_X * odd == ab, "2x * odd part of the padded source is not the affine polynomial")
-    cert = hermite_biehler_weakly_stable(padded_stability_source(n))
+    cert = hermite_biehler_weakly_stable(padded)
     report.check(
         n,
         cert.verdict == WEAKLY_STABLE,

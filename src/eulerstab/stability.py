@@ -11,6 +11,11 @@ Every decision in this module is made in exact rational arithmetic:
   inside the Cauchy bound (root magnitudes of the polynomials handled here
   span many orders, so plain midpoint bisection from the bound would waste
   dozens of Sturm evaluations per root), then switches to ordinary bisection.
+* Several polynomials are located together: the squarefree part of their
+  product is isolated once, and each isolating interval's multiplicity in
+  each input is attributed by the signs of its Yun factors at the interval
+  endpoints (exact, since the interval holds one simple root and its
+  endpoints are not roots), so no per-factor Sturm chain is built.
 * Interlacing of two real-rooted polynomials is decided on the merged,
   exactly ordered root multisets; shared roots are legal because the
   alternation uses weak inequalities.
@@ -33,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .polynomial import (
     Polynomial,
@@ -237,7 +242,8 @@ def _isolate_squarefree(
     Returns (points, intervals): exact rational roots discovered along the
     way, plus open intervals holding exactly one root each.  When width is
     given, each interval is refined until b - a <= width(a, b) (unless the
-    root is found exactly first).
+    root is found exactly first).  No endpoint is a root of s: each one
+    passes an exact nonzero test, and 0 is never an endpoint.
     """
     points: List[Fraction] = []
     intervals: List[Tuple[Fraction, Fraction]] = []
@@ -353,6 +359,48 @@ def _isolate_squarefree(
     return points, intervals
 
 
+# One distinct real root of the product of some polynomials: an exact point
+# (lo == hi) or an isolating open interval, with its multiplicity in each.
+class _Location(NamedTuple):
+    lo: Fraction
+    hi: Fraction
+    mults: Tuple[int, ...]
+
+
+def _locate(polys: Sequence[Polynomial], width: Optional[_Width]) -> List[_Location]:
+    """Distinct real roots of all of polys, exactly ordered, with their
+    multiplicity in each polynomial.
+
+    The squarefree part w of the product is isolated once, so a shared root
+    lands in one location.  An isolating interval (a, b) holds exactly one
+    root of w, a simple one, and no endpoint is a root of w, so a Yun factor
+    of an input owns that root iff it changes sign between a and b.
+    """
+    decomps = [squarefree_decompose(p) for p in polys]
+    w = _squarefree_product(decomps[0])
+    for factors in decomps[1:]:
+        u = _squarefree_product(factors)
+        w = (w * u).exact_div(poly_gcd(w, u))
+    points, intervals = _isolate_squarefree(w, width)
+
+    def mults(owns: Callable[[Polynomial], bool]) -> Tuple[int, ...]:
+        return tuple(sum(m for q, m in factors if owns(q)) for factors in decomps)
+
+    locs = [_Location(r, r, mults(lambda q: q(r) == 0)) for r in points]
+    for a, b in intervals:
+        loc = _Location(a, b, mults(lambda q: (q(a) > 0) != (q(b) > 0)))
+        if not any(loc.mults):
+            raise RuntimeError("internal error: isolating interval matches no factor")
+        locs.append(loc)
+    locs.sort()
+    return locs
+
+
+def _isolation_from_locations(locs: Sequence[_Location], i: int) -> RootIsolation:
+    """The roots of the i-th located polynomial."""
+    return RootIsolation(tuple(IsolatedRoot(l.lo, l.hi, l.mults[i]) for l in locs if l.mults[i]))
+
+
 def isolate_real_roots(
     p: Polynomial, min_width: Optional[Fraction] = Fraction(1, 256)
 ) -> RootIsolation:
@@ -361,31 +409,10 @@ def isolate_real_roots(
     min_width=None skips width refinement and stops as soon as the
     locations are pairwise isolating (cheapest option for ordering work).
     """
-    return _isolate(p, None if min_width is None else lambda a, b: min_width)
-
-
-def _isolate(p: Polynomial, width: Optional[_Width]) -> RootIsolation:
     if p.is_zero or p.degree < 1:
         raise ValueError("root isolation requires a nonconstant polynomial")
-    factors = squarefree_decompose(p)
-    points, intervals = _isolate_squarefree(_squarefree_product(factors), width)
-    fchains = [(q, m, sturm_chain(q) if q.degree >= 1 else None) for q, m in factors]
-
-    roots: List[IsolatedRoot] = []
-    for r in points:
-        mult = sum(m for q, m in factors if q(r) == 0)
-        roots.append(IsolatedRoot(r, r, mult))
-    for a, b in intervals:
-        mult = 0
-        for q, m, ch in fchains:
-            if ch is not None and ch.count(a, b) == 1:
-                mult = m
-                break
-        if mult == 0:
-            raise RuntimeError("internal error: isolating interval matches no factor")
-        roots.append(IsolatedRoot(a, b, mult))
-    roots.sort(key=lambda r: (r.lo, r.hi))
-    return RootIsolation(tuple(roots))
+    width = None if min_width is None else lambda a, b: min_width
+    return _isolation_from_locations(_locate([p], width), 0)
 
 
 def approximate_real_roots(p: Polynomial, digits: int = 20) -> List[Tuple[Fraction, int]]:
@@ -395,9 +422,11 @@ def approximate_real_roots(p: Polynomial, digits: int = 20) -> List[Tuple[Fracti
 
     The midpoints are approximations; every decision elsewhere stays exact.
     """
+    if p.is_zero or p.degree < 1:
+        raise ValueError("root isolation requires a nonconstant polynomial")
     rel = Fraction(1, 10 ** (digits + 1))
-    iso = _isolate(p, lambda a, b: max(abs(a), abs(b)) * rel)
-    return [(root.midpoint, root.multiplicity) for root in iso]
+    locs = _locate([p], lambda a, b: max(abs(a), abs(b)) * rel)
+    return [((l.lo + l.hi) / 2, l.mults[0]) for l in locs]
 
 
 def is_real_rooted(p: Polynomial) -> bool:
@@ -421,50 +450,14 @@ def is_real_rooted(p: Polynomial) -> bool:
 # joint root ordering and interlacing
 
 
-@dataclasses.dataclass(frozen=True)
-class _Location:
-    lo: Fraction
-    hi: Fraction
-    mult_f: int
-    mult_g: int
-
-
-def _distinct_location_table(f: Polynomial, g: Polynomial) -> List[_Location]:
-    """Distinct real roots of f and g, exactly ordered, with multiplicities
-    in each polynomial.  The union of distinct roots is isolated once via
-    the squarefree part of f*g, so coincident roots land in one location."""
-    ff = squarefree_decompose(f)
-    gg = squarefree_decompose(g)
-    u = _squarefree_product(ff)
-    v = _squarefree_product(gg)
-    w = (u * v).exact_div(poly_gcd(u, v))
-    if w.degree < 1:
-        return []
-    points, intervals = _isolate_squarefree(w, None)
-    fch = [(q, m, sturm_chain(q)) for q, m in ff if q.degree >= 1]
-    gch = [(q, m, sturm_chain(q)) for q, m in gg if q.degree >= 1]
-
-    locs: List[_Location] = []
-    for r in points:
-        mf = sum(m for q, m in ff if q(r) == 0)
-        mg = sum(m for q, m in gg if q(r) == 0)
-        locs.append(_Location(r, r, mf, mg))
-    for a, b in intervals:
-        mf = sum(m for q, m, ch in fch if ch.count(a, b) == 1)
-        mg = sum(m for q, m, ch in gch if ch.count(a, b) == 1)
-        locs.append(_Location(a, b, mf, mg))
-    locs.sort(key=lambda l: (l.lo, l.hi))
-    return locs
-
-
 def _alternation_holds(locs: Sequence[_Location]) -> bool:
     """Weak alternation r_1 >= s_1 >= r_2 >= s_2 >= ... where the r_i are
     f's roots and the s_i are g's roots, both descending with multiplicity."""
     rranks: List[int] = []
     sranks: List[int] = []
-    for rank, loc in enumerate(reversed(locs)):
-        rranks.extend([rank] * loc.mult_f)
-        sranks.extend([rank] * loc.mult_g)
+    for rank, (_, _, (f_mult, g_mult)) in enumerate(reversed(locs)):
+        rranks.extend([rank] * f_mult)
+        sranks.extend([rank] * g_mult)
     for i, s in enumerate(sranks):
         if rranks[i] > s:
             return False
@@ -487,10 +480,10 @@ def interlaces(g: Polynomial, f: Polynomial) -> bool:
         raise ValueError("interlacing requires positive leading coefficients")
     if g.degree not in (f.degree - 1, f.degree):
         raise ValueError("degree of g must be deg(f) or deg(f) - 1")
-    locs = _distinct_location_table(f, g)
+    locs = _locate([f, g], None)
     # Each real root lands in one location, so the totals reach the degrees
     # exactly when f and g are real-rooted.
-    if sum(l.mult_f for l in locs) != f.degree or sum(l.mult_g for l in locs) != g.degree:
+    if sum(l.mults[0] for l in locs) != f.degree or sum(l.mults[1] for l in locs) != g.degree:
         raise ValueError("interlacing requires real-rooted polynomials")
     return _alternation_holds(locs)
 
@@ -522,21 +515,6 @@ class StabilityCertificate:
     evidence: Union[HermiteBiehlerEvidence, HurwitzEvidence]
 
 
-def _isolation_or_empty(p: Polynomial, min_width: Optional[Fraction]) -> RootIsolation:
-    if p.is_zero or p.degree < 1:
-        return RootIsolation(())
-    return isolate_real_roots(p, min_width)
-
-
-def _isolation_from_locations(locs: Sequence[_Location], use_f: bool) -> RootIsolation:
-    roots = tuple(
-        IsolatedRoot(l.lo, l.hi, l.mult_f if use_f else l.mult_g)
-        for l in locs
-        if (l.mult_f if use_f else l.mult_g) > 0
-    )
-    return RootIsolation(roots)
-
-
 def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
     """Decide weak Hurwitz stability (no zeros with positive real part).
 
@@ -555,19 +533,17 @@ def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
 
     if even.is_zero or odd.is_zero:
         part = even if odd.is_zero else odd
-        iso = _isolation_or_empty(part, None)
-        ok = iso.total_multiplicity == (part.degree if part.degree >= 1 else 0) and all(
-            r.hi <= 0 for r in iso
-        )
+        iso = _isolation_from_locations(_locate([part], None), 0)
+        ok = iso.total_multiplicity == part.degree and all(r.hi <= 0 for r in iso)
         if odd.is_zero:
             ev = HermiteBiehlerEvidence(iso, None, None, "degenerate split: odd part vanishes")
         else:
             ev = HermiteBiehlerEvidence(None, iso, None, "degenerate split: even part vanishes")
         return StabilityCertificate(WEAKLY_STABLE if ok else UNSTABLE, ev)
 
-    locs = _distinct_location_table(even, odd)
-    even_iso = _isolation_from_locations(locs, use_f=True)
-    odd_iso = _isolation_from_locations(locs, use_f=False)
+    locs = _locate([even, odd], None)
+    even_iso = _isolation_from_locations(locs, 0)
+    odd_iso = _isolation_from_locations(locs, 1)
 
     problems = []
     if even.leading_coefficient <= 0 or odd.leading_coefficient <= 0:

@@ -1,11 +1,13 @@
 """Family generators against brute-force oracles and series expansions."""
 
+import sys
 from fractions import Fraction as F
 from itertools import permutations
 from math import comb, factorial
 
 import pytest
 
+from eulerstab import eulerian
 from eulerstab.eulerian import (
     FamilyId,
     affine_b,
@@ -59,6 +61,21 @@ def test_eulerian_a_matches_descent_enumeration():
 def test_eulerian_a_rejects_negative():
     with pytest.raises(ValueError):
         eulerian_a(-1)
+
+
+def test_eulerian_a_depth_does_not_grow_with_rank(monkeypatch):
+    # Build A_300 from an empty memo with only ~150 frames of headroom.
+    monkeypatch.setattr(eulerian, "_A_RANKS", [P.one()])
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        a300 = eulerian_a(300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert a300(1) == factorial(301)
 
 
 def test_a_series_expansion():

@@ -258,3 +258,8 @@ def test_report_status_and_merge():
     assert merged.rank_range == (1, 4)
     assert merged.checks_run == 5
     assert merged.status == "fail"
+
+
+def test_merge_reports_rejects_empty_list():
+    with pytest.raises(ValueError, match="^merge_reports needs at least one report$"):
+        merge_reports("x", [])

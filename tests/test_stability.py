@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerstab.eulerian import affine_b, eulerian_a, eulerian_d, half_b
 from eulerstab.polynomial import Polynomial
@@ -344,3 +346,70 @@ def test_criteria_agree_on_constructed_polynomials():
         bad = p * P([-F(rng.randint(1, 10)), 1])
         assert is_strictly_hurwitz_stable(bad).verdict == UNSTABLE
         assert hermite_biehler_weakly_stable(bad).verdict == UNSTABLE
+
+
+# ---------------------------------------------------------------------------
+# multiplicity attribution against independent references
+
+_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_linear = _rationals.map(lambda r: P([-r, 1]))
+_quadratic = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(lambda bc: P([bc[1], bc[0], 1]))
+
+
+@given(st.lists(st.tuples(st.one_of(_linear, _quadratic), st.integers(1, 3)), min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_isolation_multiplicities_match_sturm_counts(factor_powers):
+    p = P([1])
+    for q, m in factor_powers:
+        p = p * q**m
+    yun = squarefree_decompose(p)
+    real = sum(m * count_real_roots(q, -cauchy_root_bound(q), cauchy_root_bound(q)) for q, m in yun)
+    for min_width in (F(1, 256), None):
+        iso = isolate_real_roots(p, min_width)
+        assert iso.total_multiplicity == real
+        for root in iso:
+            if root.is_point:
+                expected = sum(m for q, m in yun if q(root.lo) == 0)
+            else:
+                expected = sum(m for q, m in yun if count_real_roots(q, root.lo, root.hi) == 1)
+            assert root.multiplicity == expected
+
+
+# Real-rooted factors with exactly known roots: x - r has the root r and
+# x^2 - c the roots +-sqrt(c).  A root v is keyed by v*|v| (so r*|r| or +-c),
+# an exact, strictly increasing image of v.
+_keyed_linear = _rationals.map(lambda r: (P([-r, 1]), [r * abs(r)]))
+_keyed_quadratic = st.fractions(min_value=F(1, 4), max_value=9, max_denominator=4).map(
+    lambda c: (P([-c, 0, 1]), [c, -c])
+)
+
+
+def _weakly_alternate(f_keys, g_keys) -> bool:
+    r, s = sorted(f_keys, reverse=True), sorted(g_keys, reverse=True)
+    return all(r[i] >= s[i] for i in range(len(s))) and all(
+        s[i] >= r[i + 1] for i in range(len(r) - 1)
+    )
+
+
+@given(st.lists(st.one_of(_keyed_linear, _keyed_quadratic), min_size=1, max_size=4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_interlaces_matches_known_root_order(pool, data):
+    # f and g draw factors from one pool, so they share roots
+    def side():
+        picks = st.tuples(st.sampled_from(pool), st.integers(1, 3))
+        poly, keys = P([1]), []
+        for (q, roots), m in data.draw(st.lists(picks, min_size=1, max_size=4)):
+            poly, keys = poly * q**m, keys + roots * m
+        return poly, keys
+
+    (f, f_keys), (g, g_keys) = side(), side()
+    if g.degree > f.degree:
+        (f, f_keys), (g, g_keys) = (g, g_keys), (f, f_keys)
+    target = data.draw(st.sampled_from([f.degree - 1, f.degree]))
+    linears = [factor for factor in pool if factor[0].degree == 1]
+    while g.degree < target:
+        q, roots = data.draw(st.sampled_from(linears) if linears else _keyed_linear)
+        g, g_keys = g * q, g_keys + roots
+    assert interlaces(g, f) == _weakly_alternate(f_keys, g_keys)
+    if g.degree == f.degree:
+        assert interlaces(f, g) == _weakly_alternate(g_keys, f_keys)
