@@ -55,7 +55,10 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _parse_rational_list(text: str) -> List[Fraction]:
-    return [_parse_rational(part) for part in text.split(",") if part.strip()]
+    values = [_parse_rational(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one rational value")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

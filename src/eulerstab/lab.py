@@ -40,10 +40,12 @@ from .eulerian import (
     half_d,
     zigzag,
 )
-from .polynomial import Polynomial, Scalar, _coerce, poly_gcd
+from .polynomial import Polynomial, Scalar, _coerce
 from .stability import (
     STRICTLY_STABLE,
     WEAKLY_STABLE,
+    cauchy_root_bound,
+    count_real_roots,
     hermite_biehler_weakly_stable,
     interlaces,
     is_real_rooted,
@@ -391,9 +393,9 @@ def scan_distinct_roots(n: int, ks: Sequence[Scalar]) -> VerificationReport:
     """Per-k check that A_{n-1} + k*x*A_{n-3} has all distinct real zeros
     exactly when k is in the conjectured region.
 
-    "All distinct real zeros" is decided as real-rootedness plus a constant
-    gcd(p, p').  Boundary values of k are recorded as observations without a
-    pass/fail judgment.
+    "All distinct real zeros" is decided as a Sturm count of deg(p) distinct
+    real roots inside the Cauchy bound.  Boundary values of k are recorded as
+    observations without a pass/fail judgment.
     """
     if n < 4:
         raise ValueError("the distinct-roots scan needs n >= 4")
@@ -407,7 +409,8 @@ def scan_distinct_roots(n: int, ks: Sequence[Scalar]) -> VerificationReport:
     for raw in ks:
         k = _coerce(raw)
         p = eulerian_a(n - 1) + k * _X * eulerian_a(n - 3)
-        distinct_real = is_real_rooted(p) and poly_gcd(p, p.derivative()).degree == 0
+        bound = cauchy_root_bound(p)
+        distinct_real = count_real_roots(p, -bound, bound) == p.degree
         if k == left or k == right:
             report.observations.append(
                 f"n={n} boundary k={k}: all-distinct-real-roots={distinct_real}"

@@ -3,7 +3,8 @@
 Every decision in this module is made in exact rational arithmetic:
 
 * Sturm chains (content-normalized integer remainders) count distinct real
-  roots in an interval by sign-variation differences.
+  roots in an interval by sign-variation differences.  Every sign decision
+  in this module, exact-zero tests included, is made on primitive integer rows.
 * Yun's algorithm produces the squarefree decomposition, so repeated roots
   carry exact multiplicities.
 * Real roots are isolated into disjoint open rational intervals or exact
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from math import gcd as _int_gcd
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .polynomial import (
@@ -66,8 +66,8 @@ class SturmChain:
 
     polys holds p, p', then the negated Euclidean remainders, each remainder
     rescaled to primitive integer form (a positive rational multiple, which
-    leaves all signs intact).  rows caches the primitive integer coefficient
-    vectors used for fast exact sign evaluation.
+    leaves all signs intact).  rows holds their primitive integer
+    coefficient vectors, on which every sign is evaluated.
     """
 
     polys: Tuple[Polynomial, ...]
@@ -76,10 +76,9 @@ class SturmChain:
     def variations(self, point: Scalar) -> int:
         """Sign variations of the chain at a rational point."""
         x = _coerce(point)
-        num, den = x.numerator, x.denominator
         signs = []
         for row in self.rows:
-            s = _sign_at(row, num, den)
+            s = _sign_at(row, x)
             if s:
                 signs.append(s)
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -89,14 +88,14 @@ class SturmChain:
         lo, hi = _coerce(lo), _coerce(hi)
         if not lo < hi:
             raise ValueError("need lo < hi")
-        p = self.polys[0]
-        if p(lo) == 0 or p(hi) == 0:
+        if not _sign_at(self.rows[0], lo) or not _sign_at(self.rows[0], hi):
             raise ValueError("interval endpoints must not be roots")
         return self.variations(lo) - self.variations(hi)
 
 
-def _sign_at(coeffs: Sequence[int], num: int, den: int) -> int:
-    """Sign of sum(c_i * num^i * den^(d-i)), i.e. of the polynomial at num/den."""
+def _sign_at(coeffs: Sequence[int], x: Fraction) -> int:
+    """Sign of sum(c_i * num^i * den^(d-i)), i.e. of the polynomial at num/den = x."""
+    num, den = x.numerator, x.denominator
     acc = coeffs[-1]
     dp = 1
     for c in coeffs[-2::-1]:
@@ -161,15 +160,6 @@ def squarefree_decompose(p: Polynomial) -> Tuple[Tuple[Polynomial, int], ...]:
         w = c - b.derivative()
         i += 1
     return tuple(out)
-
-
-def _squarefree_product(factors: Sequence[Tuple[Polynomial, int]]) -> Polynomial:
-    """Product of the squarefree factors of a decomposition: the monic
-    polynomial with the same distinct roots, each simple."""
-    out = Polynomial.one()
-    for q, _ in factors:
-        out = out * q
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +237,14 @@ def _isolate_squarefree(
     """
     points: List[Fraction] = []
     intervals: List[Tuple[Fraction, Fraction]] = []
-    if s(_ZERO) == 0:
+    if s.constant_term == 0:
         points.append(_ZERO)
         s = s.exact_div(_X)
     if s.degree < 1:
         return points, intervals
 
     chain = sturm_chain(s)
+    row = chain.rows[0]
     vcache: Dict[Fraction, int] = {}
 
     def var(t: Fraction) -> int:
@@ -277,7 +268,7 @@ def _isolate_squarefree(
     def hug(t: Fraction, start: Fraction) -> Fraction:
         # Shrink a symmetric gap around the known root t until it holds only t.
         d = start
-        while s(t - d) == 0 or s(t + d) == 0 or cnt(t - d, t + d) != 1:
+        while not _sign_at(row, t - d) or not _sign_at(row, t + d) or cnt(t - d, t + d) != 1:
             d /= 2
         return d
 
@@ -286,7 +277,7 @@ def _isolate_squarefree(
         if width is not None:
             while b - a > width(a, b):
                 m = (a + b) / 2
-                if s(m) == 0:
+                if not _sign_at(row, m):
                     points.append(m)
                     return
                 if cnt(a, m) == 1:
@@ -300,7 +291,7 @@ def _isolate_squarefree(
             refine(a, b)
             return
         m = (a + b) / 2
-        if s(m) == 0:
+        if not _sign_at(row, m):
             points.append(m)
             d = hug(m, (b - a) / 4)
             cl = cnt(a, m - d)
@@ -344,7 +335,7 @@ def _isolate_squarefree(
 
         prev: Optional[Fraction] = None
         for t in bounds:
-            if s(t) == 0:
+            if not _sign_at(row, t):
                 points.append(t)
                 d = hug(t, abs(t) / 4)
                 if prev is not None and prev < t - d:
@@ -371,24 +362,26 @@ def _locate(polys: Sequence[Polynomial], width: Optional[_Width]) -> List[_Locat
     """Distinct real roots of all of polys, exactly ordered, with their
     multiplicity in each polynomial.
 
-    The squarefree part w of the product is isolated once, so a shared root
-    lands in one location.  An isolating interval (a, b) holds exactly one
-    root of w, a simple one, and no endpoint is a root of w, so a Yun factor
-    of an input owns that root iff it changes sign between a and b.
+    The squarefree part w of the product, the monic lcm of all Yun factors,
+    is isolated once, so a shared root lands in one location.  An isolating
+    interval (a, b) holds exactly one root of w, a simple one, and no
+    endpoint is a root of w, so a Yun factor of an input owns that root iff
+    it changes sign between a and b.
     """
     decomps = [squarefree_decompose(p) for p in polys]
-    w = _squarefree_product(decomps[0])
-    for factors in decomps[1:]:
-        u = _squarefree_product(factors)
-        w = (w * u).exact_div(poly_gcd(w, u))
+    w = Polynomial.one()
+    for factors in decomps:
+        for q, _ in factors:
+            w = (w * q).exact_div(poly_gcd(w, q))
     points, intervals = _isolate_squarefree(w, width)
+    rows = [[(primitive_integer_coeffs(q), m) for q, m in factors] for factors in decomps]
 
-    def mults(owns: Callable[[Polynomial], bool]) -> Tuple[int, ...]:
-        return tuple(sum(m for q, m in factors if owns(q)) for factors in decomps)
+    def mults(owns: Callable[[Tuple[int, ...]], bool]) -> Tuple[int, ...]:
+        return tuple(sum(m for row, m in factors if owns(row)) for factors in rows)
 
-    locs = [_Location(r, r, mults(lambda q: q(r) == 0)) for r in points]
+    locs = [_Location(r, r, mults(lambda row: not _sign_at(row, r))) for r in points]
     for a, b in intervals:
-        loc = _Location(a, b, mults(lambda q: (q(a) > 0) != (q(b) > 0)))
+        loc = _Location(a, b, mults(lambda row: _sign_at(row, a) != _sign_at(row, b)))
         if not any(loc.mults):
             raise RuntimeError("internal error: isolating interval matches no factor")
         locs.append(loc)
@@ -432,18 +425,17 @@ def approximate_real_roots(p: Polynomial, digits: int = 20) -> List[Tuple[Fracti
 def is_real_rooted(p: Polynomial) -> bool:
     """True iff every complex root of p is real.
 
-    Checked factor by factor: a squarefree q is real-rooted iff its Sturm
-    count inside the Cauchy bound equals its degree.
+    Decided on one Sturm chain of p: it ends at gcd(p, p'), so p has
+    p.degree - deg(gcd) distinct roots, and they are all real iff the Sturm
+    count inside the Cauchy bound equals that number.
     """
     if p.is_zero:
         raise ValueError("real-rootedness is undefined for the zero polynomial")
-    for q, _ in squarefree_decompose(p):
-        if q.degree < 1:
-            continue
-        bound = cauchy_root_bound(q)
-        if sturm_chain(q).count(-bound, bound) != q.degree:
-            return False
-    return True
+    if p.degree < 1:
+        return True
+    bound = cauchy_root_bound(p)
+    chain = sturm_chain(p)
+    return chain.count(-bound, bound) == p.degree - chain.polys[-1].degree
 
 
 # ---------------------------------------------------------------------------
@@ -605,17 +597,14 @@ def hurwitz_determinants(p: Polynomial) -> Tuple[Fraction, ...]:
 
     With p(z) = sum(a_{n-k} z^k) (a_0 the leading coefficient), the k-th
     matrix has entry (i, j) = a_{2j-i} (1-indexed, a_m = 0 outside 0..n).
-    Determinants are computed fraction-free over the integers after
-    clearing denominators by D, then rescaled by D^-k.
+    Determinants are computed fraction-free over the integers on the
+    primitive integer coefficients b = scale * a, then rescaled by scale^-k.
     """
     if p.is_zero:
         raise ValueError("Hurwitz determinants require a nonzero polynomial")
     n = p.degree
-    desc = list(reversed(p.coeffs))  # a_0 .. a_n
-    den = 1
-    for c in desc:
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    b = [int(c * den) for c in desc]
+    b = primitive_integer_coeffs(p)[::-1]  # b_0 .. b_n
+    scale = b[0] / p.leading_coefficient
 
     def entry(i: int, j: int) -> int:
         m = 2 * j - i
@@ -624,9 +613,8 @@ def hurwitz_determinants(p: Polynomial) -> Tuple[Fraction, ...]:
     dets = []
     for k in range(1, n + 1):
         rows = [[entry(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)]
-        dets.append(Fraction(_bareiss_det(rows), den**k))
+        dets.append(_bareiss_det(rows) / scale**k)
     return tuple(dets)
-
 
 
 def is_strictly_hurwitz_stable(p: Polynomial) -> StabilityCertificate:

@@ -229,3 +229,18 @@ def test_recorded_cli_digests():
         code, out = _capture(line.split())
         assert code == 0, line
         assert hashlib.sha256(out.encode()).hexdigest() == digest, line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--check", "operator-symbol", "--ks="],
+        ["verify", "--check", "stability", "--ks="],
+        ["scan", "--conjecture", "distinct-roots", "--n", "4", "--ks="],
+    ],
+)
+def test_empty_ks_exit_2(argv, capsys):
+    code, out = _capture(argv)
+    assert code == 2
+    assert out == ""
+    assert "argument --ks: expected at least one rational value" in capsys.readouterr().err

@@ -1,0 +1,101 @@
+"""Differential tests against sympy's independent real-root and squarefree code."""
+
+from collections import Counter
+from fractions import Fraction as F
+from math import isqrt
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from eulerstab.polynomial import Polynomial
+from eulerstab.stability import (
+    count_real_roots,
+    is_real_rooted,
+    isolate_real_roots,
+    squarefree_decompose,
+)
+
+sympy = pytest.importorskip("sympy")
+
+P = Polynomial
+_x = sympy.Symbol("x")
+
+_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_linear = _rationals.map(lambda r: P([-r, 1]))
+
+
+def _irreducible(bc) -> bool:
+    disc = bc[0] ** 2 - 4 * bc[1]
+    return disc < 0 or isqrt(disc) ** 2 != disc
+
+
+# x^2 + b x + c without rational roots: real pairs (x^2 - 2) and complex pairs (x^2 + 1)
+_quadratic = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(_irreducible).map(
+    lambda bc: P([bc[1], bc[0], 1])
+)
+_scales = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+_powers = st.tuples(st.one_of(_linear, _quadratic), st.integers(1, 3))
+
+
+@st.composite
+def _products(draw):
+    """A nonzero scalar times powers of linear factors and irreducible quadratics."""
+    p = P([draw(_scales)])
+    for q, m in draw(st.lists(_powers, min_size=1, max_size=4)):
+        p = p * q**m
+    return p
+
+
+def _rational(c: F):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def _to_sympy(p: Polynomial):
+    return sympy.Poly([_rational(c) for c in reversed(p.coeffs)], _x, domain="QQ")
+
+
+def _to_fraction(r) -> F:
+    return F(int(r.p), int(r.q))
+
+
+@given(_products())
+@settings(max_examples=60, deadline=None)
+def test_is_real_rooted_matches_sympy(p):
+    assert is_real_rooted(p) == (len(sympy.real_roots(_to_sympy(p))) == p.degree)
+
+
+@given(_products(), _rationals, _rationals)
+@settings(max_examples=60, deadline=None)
+def test_count_real_roots_matches_sympy(p, lo, hi):
+    assume(lo < hi)
+    sp, a, b = _to_sympy(p), _rational(lo), _rational(hi)
+    assume(sp.eval(a) != 0 and sp.eval(b) != 0)
+    assert count_real_roots(p, lo, hi) == sp.count_roots(a, b)
+
+
+@given(_products())
+@settings(max_examples=60, deadline=None)
+def test_squarefree_decompose_matches_sympy(p):
+    _, factors = _to_sympy(p).sqf_list()
+    expected = {
+        (tuple(_to_fraction(c) for c in reversed(q.monic().all_coeffs())), m) for q, m in factors
+    }
+    assert {(q.coeffs, m) for q, m in squarefree_decompose(p)} == expected
+
+
+@given(_products())
+@settings(max_examples=60, deadline=None)
+def test_isolation_matches_sympy_real_roots(p):
+    roots = Counter(sympy.real_roots(_to_sympy(p)))
+    for min_width in (F(1, 256), None):
+        iso = isolate_real_roots(p, min_width)
+        assert len(iso) == len(roots)
+        for root, mult in roots.items():
+            holders = []
+            for loc in iso:
+                lo, hi = _rational(loc.lo), _rational(loc.hi)
+                if root == lo if loc.is_point else bool(lo < root) and bool(root < hi):
+                    holders.append(loc)
+            assert len(holders) == 1
+            assert holders[0].multiplicity == mult

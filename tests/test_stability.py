@@ -348,6 +348,30 @@ def test_criteria_agree_on_constructed_polynomials():
         assert hermite_biehler_weakly_stable(bad).verdict == UNSTABLE
 
 
+def test_sign_decisions_never_evaluate_fractions(monkeypatch):
+    # Rational roots at 0, at the power of two -1 and at 3/2, the bisection
+    # midpoint of the bracket (1, 2), reach every exact-zero test.
+    f = P([1, 1]) * X * P([F(-3, 2), 1])
+    p = f * P([1, 0, 1])
+
+    def fraction_eval(self, point):
+        raise AssertionError("a sign was decided by Fraction evaluation")
+
+    monkeypatch.setattr(Polynomial, "__call__", fraction_eval)
+    roots = [(-1, 1), (0, 1), (F(3, 2), 1)]
+    assert [(r.lo, r.multiplicity) for r in isolate_real_roots(p) if r.is_point] == roots
+    assert [r.multiplicity for r in isolate_real_roots(p * p, None)] == [2, 2, 2]
+    assert approximate_real_roots(p, 5) == roots
+    assert interlaces(P([F(1, 2), 1]) * P([-1, 1]), f)
+    assert hermite_biehler_weakly_stable(p).verdict == UNSTABLE
+    stable = P([2, 1]) * P([1, 1]) * X * P([1, 0, 1])
+    assert hermite_biehler_weakly_stable(stable).verdict == WEAKLY_STABLE
+    assert is_real_rooted(f * f) and not is_real_rooted(p)
+    assert count_real_roots(p, -2, 2) == 3
+    with pytest.raises(ValueError):
+        count_real_roots(p, -1, 2)
+
+
 # ---------------------------------------------------------------------------
 # multiplicity attribution against independent references
 
