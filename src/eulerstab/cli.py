@@ -25,6 +25,7 @@ import csv
 import decimal
 import io
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -412,6 +413,10 @@ def run(argv: Sequence[str]) -> int:
         ns = build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Exact results (zigzag numbers, high-rank coefficients) may have more
+    # digits than the interpreter's default int-to-str limit.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         out, code = _COMMANDS[ns.subcommand](ns)
     except (ValueError, BudgetExceededError) as exc:
@@ -421,7 +426,13 @@ def run(argv: Sequence[str]) -> int:
         print(f"FAIL {exc}")
         return 1
     if out:
-        print(out)
+        try:
+            print(out)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed early (`| head`); point stdout at devnull so
+            # the interpreter's final flush cannot raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -16,7 +16,13 @@ Nothing here shares code with `eulerstab.eulerian`, so distribution
 agreement between the two is meaningful evidence that both are right.
 
 Enumeration is exhaustive and deterministic: permutations in lexicographic
-order, sign masks in increasing order, mask bit i negating window entry i.
+order and, for each one, sign masks in reflected Gray code order, mask bit i
+negating s_{i+1}.  Step t of the code flips bit ctz(t) only, so the padded
+descent count is updated from the two comparisons beside that entry (plus
+the head comparison when the type-D pad -s_2 moves) instead of recounted.
+The last bit flips once, at step 2^(n-1), so the last_positive and
+last_negative filters are the first and second half of the walk; every step
+changes the parity of the mask, so type D is the even steps.
 A budget guard refuses group orders that are too large to enumerate.
 """
 
@@ -32,6 +38,7 @@ from .polynomial import Polynomial
 GROUPS = ("A", "B", "D")
 STATS = ("des", "affdes", "des_d")
 FILTERS = ("all", "last_positive", "last_negative")
+_MIN_RANK = {"A": 1, "B": 1, "D": 2}
 
 DEFAULT_BUDGET = 10**8
 
@@ -72,7 +79,7 @@ def _window_of(sp: WindowLike) -> Tuple[int, ...]:
     return SignedPerm(tuple(sp)).window
 
 
-def _descents(seq: Tuple[int, ...]) -> int:
+def _descents(seq: Sequence[int]) -> int:
     return sum(1 for a, b in zip(seq, seq[1:]) if a > b)
 
 
@@ -116,6 +123,11 @@ def affdes_b(sp: WindowLike) -> int:
 
 
 def group_order(group: str, n: int) -> int:
+    """Number of elements of the rank-n group (A: n letters)."""
+    if group not in GROUPS:
+        raise ValueError(f"unknown group {group!r}")
+    if n < _MIN_RANK[group]:
+        raise ValueError(f"group {group} needs rank >= {_MIN_RANK[group]}")
     if group == "A":
         return factorial(n)
     if group == "B":
@@ -155,39 +167,54 @@ def distribution(
             raise ValueError(f"group {group} with statistic {stat} needs rank >= {min_rank}")
     if stat == "affdes" and group != "B":
         raise ValueError("the affine statistic is only defined over group B")
-    if group_order(group, n) > budget:
-        raise BudgetExceededError(
-            f"group order {group_order(group, n)} exceeds the enumeration budget {budget}"
-        )
+    # Every group order is at least 2^(n-1), so a huge rank is refused
+    # without computing (and printing) its order.
+    if n - 1 >= budget.bit_length():
+        raise BudgetExceededError(f"group order at rank {n} exceeds the enumeration budget {budget}")
+    order = group_order(group, n)
+    if order > budget:
+        raise BudgetExceededError(f"group order {order} exceeds the enumeration budget {budget}")
 
     hist = [0] * (n + 2)
-    descents = _descents
 
     if group == "A":
         if filter == "last_negative":
             return Polynomial()
         for perm in itertools.permutations(range(1, n + 1)):
-            hist[descents(perm)] += 1
+            hist[_descents(perm)] += 1
         return Polynomial(hist)
-
-    masks: Iterable[int] = range(1 << n)
-    if filter == "last_positive":
-        masks = [m for m in masks if not (m >> (n - 1)) & 1]
-    elif filter == "last_negative":
-        masks = [m for m in masks if (m >> (n - 1)) & 1]
-    if group == "D":
-        masks = [m for m in masks if m.bit_count() % 2 == 0]
-    masks = list(masks)
 
     d_pad = stat == "des_d" or (stat == "des" and group == "D")
     affine = stat == "affdes"
+    # A filter walks half of the Gray code: the (n-1)-bit code, whose steps
+    # are also steps 2^(n-1)+1.. of the n-bit one.  Each step is (padded
+    # position of the negated entry, whether the element is counted).
+    bits = n if filter == "all" else n - 1
+    steps = [((t & -t).bit_length(), group == "B" or t % 2 == 0) for t in range(1, 1 << bits)]
+    head_pos = 2 if d_pad else -1
 
     for perm in itertools.permutations(range(1, n + 1)):
-        for mask in masks:
-            w = tuple(-v if (mask >> i) & 1 else v for i, v in enumerate(perm))
-            head = -w[1] if d_pad else 0
-            k = descents((head,) + w)
-            if affine and _node0_affine_descent(w):
-                k += 1
-            hist[k] += 1
+        # p = (head, s_1, ..., s_n, n + 1); the sentinel n + 1 adds no descent.
+        p = [0, *perm, n + 1]
+        if filter == "last_negative":
+            # step 2^(n-1): mask 2^(n-2) (the first half's last), plus entry n
+            p[n] = -p[n]
+            if n >= 2:
+                p[n - 1] = -p[n - 1]
+        if d_pad:
+            p[0] = -p[2]
+        k = _descents(p)
+        # node 0: the sign of the entry of smaller absolute value in s_1, s_2
+        m = 2 if affine and perm[1] < perm[0] else 1
+        hist[k + (affine and p[m] > 0)] += 1
+        for j, counted in steps:
+            u, v, x = p[j - 1], p[j], p[j + 1]
+            k += (u > -v) - (u > v) + (-v > x) - (v > x)
+            p[j] = -v
+            if j == head_pos:
+                h = p[0]
+                p[0] = v
+                k += (v > p[1]) - (h > p[1])
+            if counted:
+                hist[k + (affine and p[m] > 0)] += 1
     return Polynomial(hist)

@@ -3,6 +3,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from contextlib import redirect_stdout
 
@@ -244,3 +247,28 @@ def test_empty_ks_exit_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert "argument --ks: expected at least one rational value" in capsys.readouterr().err
+
+
+def test_zigzag_beyond_int_str_digit_limit():
+    # E_2000 has over 5,000 digits, past Python's default int-to-str limit.
+    code, out = _capture(["zigzag", "--n", "2000"])
+    assert code == 0
+    assert out.rstrip("\n").rsplit(", ", 1)[1] == str(zigzag(2000).values[-1])
+
+
+def test_closed_pipe_exits_quietly():
+    # About 200 kB of CSV: more than the pipe holds, so the reader closing
+    # after the header breaks the child's write.
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["gen", "--family", "A", "--n", "1", "--n-max", "80", "--format", "csv"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eulerstab.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.stdout.readline().startswith(b"family,n,degree,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in err

@@ -1,9 +1,14 @@
 """Window-notation statistics and exhaustive distributions."""
 
+from collections import Counter
+from itertools import permutations, product
+
 import pytest
 
+from eulerstab import oracle
 from eulerstab.eulerian import affine_b, eulerian_b, eulerian_d, half_d
 from eulerstab.oracle import (
+    FILTERS,
     BudgetExceededError,
     SignedPerm,
     affdes_b,
@@ -110,11 +115,80 @@ def test_group_order():
     assert group_order("A", 4) == 24
     assert group_order("B", 3) == 48
     assert group_order("D", 3) == 24
+    assert group_order("D", 2) == 4
+
+
+@pytest.mark.parametrize("group, n", [("A", 0), ("B", 0), ("D", 1), ("D", 0), ("B", -1)])
+def test_group_order_rejects_rank_below_minimum(group, n):
+    with pytest.raises(ValueError, match="needs rank"):
+        group_order(group, n)
+
+
+def test_group_order_rejects_unknown_group():
+    with pytest.raises(ValueError, match="unknown group"):
+        group_order("Z", 3)
+
+
+# (group, stat) -> (per-element statistic, lowest rank); type A is unsigned.
+_NAIVE_STATS = {
+    ("A", "des"): (des_a, 1),
+    ("B", "des"): (des_b, 1),
+    ("B", "des_d"): (des_d, 2),
+    ("B", "affdes"): (affdes_b, 2),
+    ("D", "des"): (des_d, 2),
+    ("D", "des_d"): (des_d, 2),
+}
+
+
+def _naive_elements(group, n):
+    if group == "A":
+        return [SignedPerm(perm) for perm in permutations(range(1, n + 1))]
+    elements = [
+        SignedPerm(tuple(s * v for s, v in zip(signs, perm)))
+        for perm in permutations(range(1, n + 1))
+        for signs in product((1, -1), repeat=n)
+    ]
+    return [sp for sp in elements if group == "B" or sp.is_even_signed()]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_distribution_matches_naive_window_enumeration(n):
+    # Builds every window independently of the Gray-code walk and counts
+    # the public per-element statistics.
+    for (group, stat), (statistic, lowest) in _NAIVE_STATS.items():
+        if n < lowest:
+            continue
+        elements = _naive_elements(group, n)
+        assert len(elements) == group_order(group, n)
+        for flt in FILTERS:
+            kept = [
+                sp
+                for sp in elements
+                if flt == "all" or (sp.window[-1] > 0) == (flt == "last_positive")
+            ]
+            hist = Counter(statistic(sp.window) for sp in kept)
+            want = P([hist[k] for k in range(n + 2)])
+            got = distribution(group, stat, n, flt)
+            assert got == want, (group, stat, n, flt)
+            order = group_order(group, n)
+            if group == "A":
+                order = {"all": order, "last_positive": order, "last_negative": 0}[flt]
+            elif flt != "all":
+                order //= 2
+            assert sum(got.coeffs) == order, (group, stat, n, flt)
 
 
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         distribution("B", "des", 10, budget=1000)
+
+
+def test_budget_guard_skips_order_of_huge_rank(monkeypatch):
+    # factorial(10**6) alone takes seconds; the refusal must not need it.
+    monkeypatch.setattr(oracle, "factorial", lambda n: pytest.fail("group order computed"))
+    for group in ("A", "B", "D"):
+        with pytest.raises(BudgetExceededError, match="at rank 1000000"):
+            distribution(group, "des", 10**6)
 
 
 def test_incompatible_combinations():
