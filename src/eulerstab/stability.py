@@ -8,10 +8,13 @@ Every decision in this module is made in exact rational arithmetic:
 * Yun's algorithm produces the squarefree decomposition, so repeated roots
   carry exact multiplicities.
 * Real roots are isolated into disjoint open rational intervals or exact
-  rational points.  Isolation starts from power-of-two magnitude brackets
-  inside the Cauchy bound (root magnitudes of the polynomials handled here
-  span many orders, so plain midpoint bisection from the bound would waste
-  dozens of Sturm evaluations per root), then switches to ordinary bisection.
+  rational points by one recursive bisection.  Its first splits are the
+  power-of-two magnitude brackets between the Cauchy bounds (root
+  magnitudes of the polynomials handled here span many orders, so plain
+  midpoint bisection from the bound would waste dozens of Sturm evaluations
+  per root); inside one octave it splits at midpoints.  An interval that
+  holds one simple root is refined by the sign change alone, with no Sturm
+  count.
 * Several polynomials are located together: the squarefree part of their
   product is isolated once, and each isolating interval's multiplicity in
   each input is attributed by the signs of its Yun factors at the interval
@@ -208,17 +211,6 @@ def _pow2_at_least(x: Fraction) -> Fraction:
     return b
 
 
-def _pow2_at_most(x: Fraction) -> Fraction:
-    b = Fraction(1)
-    if b <= x:
-        while b * 2 <= x:
-            b *= 2
-        return b
-    while b > x:
-        b /= 2
-    return b
-
-
 # Stopping width for refining an isolating interval (a, b): refinement
 # bisects while b - a exceeds width(a, b).
 _Width = Callable[[Fraction, Fraction], Fraction]
@@ -257,13 +249,15 @@ def _isolate_squarefree(
     def cnt(a: Fraction, b: Fraction) -> int:
         return var(a) - var(b)
 
+    # Every root satisfies lo < |root| < hi.  Both Cauchy bounds exceed 1
+    # (s and its reciprocal have nonzero constant terms), so lo <= 1/2 and
+    # hi >= 2.
     hi = _pow2_at_least(cauchy_root_bound(s))
-    lo = _pow2_at_most(1 / cauchy_root_bound(s.reciprocal(s.degree)))
-    if lo >= hi:
-        lo = hi / 2
+    lo = 1 / _pow2_at_least(cauchy_root_bound(s.reciprocal(s.degree)))
     mags = [lo]
     while mags[-1] < hi:
         mags.append(mags[-1] * 2)
+    bounds = [-m for m in reversed(mags)] + mags
 
     def hug(t: Fraction, start: Fraction) -> Fraction:
         # Shrink a symmetric gap around the known root t until it holds only t.
@@ -273,80 +267,49 @@ def _isolate_squarefree(
         return d
 
     def refine(a: Fraction, b: Fraction) -> None:
-        # exactly one root in (a, b)
+        # (a, b) holds one simple root and neither endpoint is a root, so the
+        # root lies in (a, m) iff the sign changes between a and m.
         if width is not None:
+            sa = _sign_at(row, a)
             while b - a > width(a, b):
                 m = (a + b) / 2
-                if not _sign_at(row, m):
+                sm = _sign_at(row, m)
+                if not sm:
                     points.append(m)
                     return
-                if cnt(a, m) == 1:
+                if sm != sa:
                     b = m
                 else:
                     a = m
         intervals.append((a, b))
 
-    def bisect(a: Fraction, b: Fraction, c: int) -> None:
-        if c == 1:
+    def bisect(a: Fraction, b: Fraction, c: int, i: int, j: int) -> None:
+        # (a, b) holds c > 0 roots and lies in [bounds[i], bounds[j]].  Split
+        # at the middle bracket while the span covers more than one octave,
+        # then at arithmetic midpoints; a root found at the split point
+        # becomes an exact point with a root-free gap around it.
+        if j - i > 1:
+            k = (i + j) // 2
+            m, start, left, right = bounds[k], abs(bounds[k]) / 4, (i, k), (k, j)
+        elif c == 1:
             refine(a, b)
             return
-        m = (a + b) / 2
+        else:
+            m, start, left, right = (a + b) / 2, (b - a) / 4, (i, j), (i, j)
+        d = _ZERO
         if not _sign_at(row, m):
             points.append(m)
-            d = hug(m, (b - a) / 4)
-            cl = cnt(a, m - d)
-            if cl:
-                bisect(a, m - d, cl)
-            cr = cnt(m + d, b)
-            if cr:
-                bisect(m + d, b, cr)
-        else:
-            cl = cnt(a, m)
-            if cl:
-                bisect(a, m, cl)
-            if c - cl:
-                bisect(m, b, c - cl)
+            d = hug(m, start)
+        cl = cnt(a, m - d)
+        if cl:
+            bisect(a, m - d, cl, *left)
+        cr = cnt(m + d, b)
+        if cr:
+            bisect(m + d, b, cr, *right)
 
-    def split(bounds: List[Fraction], i: int, j: int) -> None:
-        # Recursive subdivision over the precomputed magnitude brackets;
-        # evaluates the chain only where roots actually are.
-        c = cnt(bounds[i], bounds[j])
-        if c == 0:
-            return
-        if j - i == 1:
-            bisect(bounds[i], bounds[j], c)
-            return
-        k = (i + j) // 2
-        split(bounds, i, k)
-        split(bounds, k, j)
-
-    for side in (-1, 1):
-        bounds = sorted(side * m for m in mags)
-        # Boundary points that are themselves roots become exact points and
-        # their hug gap becomes a dead zone; the remaining spans are chained
-        # into contiguous runs so the lazy subdivision still applies.
-        runs: List[List[Fraction]] = []
-
-        def add_span(a: Fraction, b: Fraction) -> None:
-            if runs and runs[-1][-1] == a:
-                runs[-1].append(b)
-            else:
-                runs.append([a, b])
-
-        prev: Optional[Fraction] = None
-        for t in bounds:
-            if not _sign_at(row, t):
-                points.append(t)
-                d = hug(t, abs(t) / 4)
-                if prev is not None and prev < t - d:
-                    add_span(prev, t - d)
-                prev = t + d
-            else:
-                if prev is not None:
-                    add_span(prev, t)
-                prev = t
-        for run in runs:
-            split(run, 0, len(run) - 1)
+    c = cnt(-hi, hi)
+    if c:
+        bisect(-hi, hi, c, 0, len(bounds) - 1)
     return points, intervals
 
 
@@ -395,15 +358,18 @@ def _isolation_from_locations(locs: Sequence[_Location], i: int) -> RootIsolatio
 
 
 def isolate_real_roots(
-    p: Polynomial, min_width: Optional[Fraction] = Fraction(1, 256)
+    p: Polynomial, min_width: Optional[Scalar] = Fraction(1, 256)
 ) -> RootIsolation:
     """Isolate the real roots of p with multiplicities.
 
     min_width=None skips width refinement and stops as soon as the
-    locations are pairwise isolating (cheapest option for ordering work).
+    locations are pairwise isolating (cheapest option for ordering work);
+    otherwise it must be a positive int or Fraction.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("root isolation requires a nonconstant polynomial")
+    if min_width is not None and _coerce(min_width) <= 0:
+        raise ValueError(f"min_width must be positive or None, got {min_width}")
     width = None if min_width is None else lambda a, b: min_width
     return _isolation_from_locations(_locate([p], width), 0)
 
@@ -417,6 +383,8 @@ def approximate_real_roots(p: Polynomial, digits: int = 20) -> List[Tuple[Fracti
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("root isolation requires a nonconstant polynomial")
+    if digits < 1:
+        raise ValueError(f"digits must be at least 1, got {digits}")
     rel = Fraction(1, 10 ** (digits + 1))
     locs = _locate([p], lambda a, b: max(abs(a), abs(b)) * rel)
     return [((l.lo + l.hi) / 2, l.mults[0]) for l in locs]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from eulerstab.polynomial import Polynomial
 from eulerstab.stability import (
+    approximate_real_roots,
     count_real_roots,
     is_real_rooted,
     isolate_real_roots,
@@ -37,14 +38,30 @@ _quadratic = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(_irreducib
 _scales = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
 _powers = st.tuples(st.one_of(_linear, _quadratic), st.integers(1, 3))
 
+# +-2^e * r with e in -12..12 and r in [1, 2], r = 1 (an exact power of two)
+# included: roots across many octaves, some on the isolation's magnitude
+# brackets, whose exact-point gaps they exercise.
+_octave_roots = st.builds(
+    lambda sign, e, r: sign * F(2) ** e * r,
+    st.sampled_from([-1, 1]),
+    st.integers(-12, 12),
+    st.just(F(1)) | st.fractions(min_value=1, max_value=2, max_denominator=8),
+)
+_octave_powers = st.tuples(
+    st.one_of(_octave_roots.map(lambda r: P([-r, 1])), _quadratic), st.integers(1, 3)
+)
+
 
 @st.composite
-def _products(draw):
+def _products(draw, powers=_powers):
     """A nonzero scalar times powers of linear factors and irreducible quadratics."""
     p = P([draw(_scales)])
-    for q, m in draw(st.lists(_powers, min_size=1, max_size=4)):
+    for q, m in draw(st.lists(powers, min_size=1, max_size=4)):
         p = p * q**m
     return p
+
+
+_any_products = _products() | _products(_octave_powers)
 
 
 def _rational(c: F):
@@ -84,7 +101,7 @@ def test_squarefree_decompose_matches_sympy(p):
     assert {(q.coeffs, m) for q, m in squarefree_decompose(p)} == expected
 
 
-@given(_products())
+@given(_any_products)
 @settings(max_examples=60, deadline=None)
 def test_isolation_matches_sympy_real_roots(p):
     roots = Counter(sympy.real_roots(_to_sympy(p)))
@@ -99,3 +116,19 @@ def test_isolation_matches_sympy_real_roots(p):
                     holders.append(loc)
             assert len(holders) == 1
             assert holders[0].multiplicity == mult
+
+
+@given(_any_products)
+@settings(max_examples=60, deadline=None)
+def test_approximate_roots_carry_twenty_digits(p):
+    # sympy's rational intervals [a, b] of width <= 10^-30 hold each root r,
+    # so |mid - r| <= |r| * 10^-20 is proved by max|mid - a|, |mid - b| <=
+    # min(|a|, |b|) * 10^-20 (real roots of these products are 0 or at least
+    # 2^-12 in magnitude).
+    approx = approximate_real_roots(p, 20)
+    exact = _to_sympy(p).intervals(eps=sympy.Rational(1, 10**30))
+    assert len(approx) == len(exact)
+    for (mid, mult), ((a, b), m) in zip(approx, exact):
+        a, b = _to_fraction(a), _to_fraction(b)
+        assert mult == m
+        assert max(abs(mid - a), abs(mid - b)) <= min(abs(a), abs(b)) / 10**20

@@ -1,12 +1,14 @@
 """Sturm chains, root isolation, interlacing, and both stability criteria."""
 
 import random
+import signal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerstab import stability
 from eulerstab.eulerian import affine_b, eulerian_a, eulerian_d, half_b
 from eulerstab.polynomial import Polynomial
 from eulerstab.stability import (
@@ -176,6 +178,50 @@ def test_approximate_real_roots():
     assert abs(hi + F(2679491924311227065, 10**19)) < F(1, 10**18)
     assert approximate_real_roots(P([1, 1]) ** 2) == [(F(-1), 2)]
     assert approximate_real_roots(P([1, 0, 1])) == []
+
+
+def _within(seconds, call):
+    """call(), or a TimeoutError once it has run for the given seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_isolation_rejects_nonpositive_width_and_digits():
+    p = P([-2, 0, 1])  # irrational roots: refining to width 0 would never stop
+    for width in (F(0), 0, F(-1, 2)):
+        with pytest.raises(ValueError, match="min_width"):
+            _within(10, lambda: isolate_real_roots(p, width))
+    with pytest.raises(TypeError):
+        isolate_real_roots(p, 0.5)
+    for digits in (0, -3):
+        with pytest.raises(ValueError, match="digits"):
+            approximate_real_roots(p, digits)
+
+
+def test_isolation_skips_root_free_side(monkeypatch):
+    # (x - 3)(x^2 + 10^6): the Cauchy bound 1 + 3*10^6 gives hi = 2^22 and
+    # the reciprocal's bound 4/3 gives lo = 1/2.  No root is negative, so of
+    # the negative brackets only the ends -hi and -lo may be evaluated.
+    seen = []
+    sign_at = stability._sign_at
+
+    def spy(row, x):
+        seen.append(x)
+        return sign_at(row, x)
+
+    monkeypatch.setattr(stability, "_sign_at", spy)
+    iso = isolate_real_roots(P([-3, 1]) * P([10**6, 0, 1]), None)
+    assert [(r.lo < 3 < r.hi, r.multiplicity) for r in iso] == [(True, 1)]
+    assert {x for x in seen if x < 0} <= {F(-(2**22)), F(-1, 2)}
 
 
 def test_cauchy_bound_contains_all_real_roots():
