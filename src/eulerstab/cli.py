@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conjecture", required=True, choices=("stable", "distinct-roots"))
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--width", type=_parse_rational, default=Fraction(1, 10**6))
+    p.add_argument("--width", type=_parse_rational, default=None, help="bracket width (default 1/10^6)")
     p.add_argument("--ks", type=_parse_rational_list, default=None)
     add_format(p)
 
@@ -338,6 +338,8 @@ def _cmd_oracle(ns: argparse.Namespace) -> tuple[str, int]:
 def _verify_reports(ns: argparse.Namespace) -> List[VerificationReport]:
     n_max = ns.n_max
     wanted = ns.check
+    if ns.ks is not None and wanted not in ("stability", "operator-symbol", "all"):
+        raise ValueError(f"--ks has no effect on --check {wanted}")
     for check, lowest in _CHECK_MIN_RANK.items():
         if wanted in (check, "all") and n_max < lowest:
             raise ValueError(f"check {check} needs --n-max >= {lowest}, got {n_max}")
@@ -383,7 +385,12 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_scan(ns: argparse.Namespace) -> tuple[str, int]:
     if ns.conjecture == "stable":
-        return emit([lab.critical_k(n, ns.width) for n in _ranks(ns)], ns.fmt), 0
+        if ns.ks is not None:
+            raise ValueError("--ks has no effect on --conjecture stable")
+        width = Fraction(1, 10**6) if ns.width is None else ns.width
+        return emit([lab.critical_k(n, width) for n in _ranks(ns)], ns.fmt), 0
+    if ns.width is not None:
+        raise ValueError("--width has no effect on --conjecture distinct-roots")
     reports = [
         lab.scan_distinct_roots(n, ns.ks if ns.ks is not None else lab.default_distinct_grid(n))
         for n in _ranks(ns)

@@ -15,8 +15,8 @@ The degree of the zero polynomial is the distinguished marker
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
-from typing import Iterable, Tuple, Union
+from math import gcd as _int_gcd, lcm as _int_lcm
+from typing import Iterable, List, Tuple, Union
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
@@ -58,10 +58,6 @@ class Polynomial:
     @classmethod
     def x(cls) -> "Polynomial":
         return cls([0, 1])
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "Polynomial":
-        return cls([c])
 
     @classmethod
     def monomial(cls, power: int, coeff: Scalar = 1) -> "Polynomial":
@@ -187,8 +183,9 @@ class Polynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __call__(self, point: Scalar) -> Fraction:
@@ -230,14 +227,6 @@ class Polynomial:
             out.append(c)
             out.append(Fraction(0))
         return Polynomial(out)
-
-    def shift_up(self, k: int = 1) -> "Polynomial":
-        """Multiply by x**k."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        if not self._coeffs:
-            return Polynomial()
-        return Polynomial((Fraction(0),) * k + self._coeffs)
 
     # ------------------------------------------------------------------
     # division
@@ -299,28 +288,40 @@ def primitive_integer_coeffs(p: Polynomial) -> Tuple[int, ...]:
     entries are coprime integers.  Signs are preserved."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no primitive form")
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = _int_gcd(g, abs(v))
+    den = _int_lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _primitive(ints: List[int]) -> Tuple[int, ...]:
+    g = _int_gcd(*ints)
     return tuple(v // g for v in ints)
 
 
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic greatest common divisor over the rationals.
+def _remainder_rows(p: Polynomial, q: Polynomial, sign: int) -> List[Tuple[int, ...]]:
+    """Primitive integer rows of the nonzero ones among p and q, then sign
+    times the primitive pseudo-remainder of the last two rows, up to the
+    first zero remainder.  Each step scales the remainder by a positive
+    integer before it subtracts, so a row is a positive multiple of sign
+    times the rational remainder: its primitive form, which is unique."""
+    rows = [primitive_integer_coeffs(f) for f in (p, q) if not f.is_zero]
+    while len(rows) > 1:
+        r, b = rows[-2], rows[-1]
+        s, m = (1, b[-1]) if b[-1] > 0 else (-1, -b[-1])
+        while len(r) >= len(b):
+            g = _int_gcd(m, r[-1])
+            u, v, k = m // g, s * (r[-1] // g), len(r) - len(b)
+            r = [u * x for x in r[:k]] + [u * x - v * y for x, y in zip(r[k:-1], b)]
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            break
+        rows.append(_primitive([sign * x for x in r]))
+    return rows
 
-    Remainders are rescaled to primitive integer form after every Euclidean
-    step to keep coefficient growth in check.
-    """
+
+def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Monic greatest common divisor over the rationals: the last row of the
+    primitive integer remainder sequence of p and q, made monic."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    a, b = p, q
-    while not b.is_zero:
-        r = a % b
-        if not r.is_zero:
-            r = Polynomial(primitive_integer_coeffs(r))
-        a, b = b, r
-    return a.monic()
+    return Polynomial(_remainder_rows(p, q, 1)[-1]).monic()

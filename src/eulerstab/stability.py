@@ -2,9 +2,10 @@
 
 Every decision in this module is made in exact rational arithmetic:
 
-* Sturm chains (content-normalized integer remainders) count distinct real
-  roots in an interval by sign-variation differences.  Every sign decision
-  in this module, exact-zero tests included, is made on primitive integer rows.
+* Sturm chains, whose rows are primitive pseudo-remainders computed on
+  integer rows, count distinct real roots in an interval by sign-variation
+  differences.  Every sign decision in this module, exact-zero tests
+  included, is made on primitive integer rows.
 * Yun's algorithm produces the squarefree decomposition, so repeated roots
   carry exact multiplicities.
 * Real roots are isolated into disjoint open rational intervals or exact
@@ -47,6 +48,7 @@ from .polynomial import (
     Polynomial,
     Scalar,
     _coerce,
+    _remainder_rows,
     poly_gcd,
     primitive_integer_coeffs,
 )
@@ -67,10 +69,10 @@ _ZERO = Fraction(0)
 class SturmChain:
     """Sturm sequence of a nonzero polynomial.
 
-    polys holds p, p', then the negated Euclidean remainders, each remainder
-    rescaled to primitive integer form (a positive rational multiple, which
-    leaves all signs intact).  rows holds their primitive integer
-    coefficient vectors, on which every sign is evaluated.
+    polys holds p, p', then the negated remainders; rows holds their
+    primitive integer coefficient vectors, on which every sign is evaluated.
+    The remainders are primitive pseudo-remainders computed on integer rows:
+    positive multiples of the rational remainders, so every sign is kept.
     """
 
     polys: Tuple[Polynomial, ...]
@@ -110,16 +112,9 @@ def _sign_at(coeffs: Sequence[int], x: Fraction) -> int:
 def sturm_chain(p: Polynomial) -> SturmChain:
     if p.is_zero:
         raise ValueError("Sturm chain requires a nonzero polynomial")
-    polys = [p]
-    if p.degree >= 1:
-        polys.append(p.derivative())
-        while True:
-            r = -(polys[-2] % polys[-1])
-            if r.is_zero:
-                break
-            polys.append(Polynomial(primitive_integer_coeffs(r)))
-    rows = tuple(primitive_integer_coeffs(q) for q in polys)
-    return SturmChain(tuple(polys), rows)
+    d = p.derivative()
+    rows = _remainder_rows(p, d, -1)
+    return SturmChain((p, d, *map(Polynomial, rows[2:]))[: len(rows)], tuple(rows))
 
 
 def count_real_roots(p: Polynomial, lo: Scalar, hi: Scalar) -> int:

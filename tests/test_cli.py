@@ -249,6 +249,34 @@ def test_empty_ks_exit_2(argv, capsys):
     assert "argument --ks: expected at least one rational value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["scan", "--conjecture", "stable", "--n", "3", "--ks=1,2"], "--ks"),
+        (["scan", "--conjecture", "distinct-roots", "--n", "4", "--width", "1/100"], "--width"),
+        (["verify", "--check", "identities", "--n-max", "3", "--ks=1"], "--ks"),
+        (["verify", "--check", "interlacing", "--n-max", "3", "--ks=1"], "--ks"),
+        (["verify", "--check", "half-reciprocal", "--n-max", "3", "--ks=1"], "--ks"),
+    ],
+)
+def test_ignored_flag_exit_2(argv, flag, capsys):
+    # A flag the command would not read must not pass as if its values had
+    # been checked.
+    code, out = _capture(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{flag} has no effect" in err
+
+
+def test_scan_stable_default_width_is_one_millionth():
+    argv = ["scan", "--conjecture", "stable", "--n", "3", "--n-max", "4", "--format", "json"]
+    code, out = _capture(argv)
+    assert code == 0
+    assert (code, out) == _capture(argv + ["--width", "1/1000000"])
+
+
 def test_zigzag_beyond_int_str_digit_limit():
     # E_2000 has over 5,000 digits, past Python's default int-to-str limit.
     code, out = _capture(["zigzag", "--n", "2000"])

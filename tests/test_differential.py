@@ -8,16 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eulerstab.polynomial import Polynomial
+from eulerstab.polynomial import Polynomial, poly_gcd
 from eulerstab.stability import (
     approximate_real_roots,
     count_real_roots,
     is_real_rooted,
     isolate_real_roots,
     squarefree_decompose,
+    sturm_chain,
 )
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.subresultants_qq_zz import sturm_q  # noqa: E402
 
 P = Polynomial
 _x = sympy.Symbol("x")
@@ -76,6 +78,10 @@ def _to_fraction(r) -> F:
     return F(int(r.p), int(r.q))
 
 
+def _from_sympy(q) -> Polynomial:
+    return P([_to_fraction(c) for c in reversed(sympy.Poly(q, _x, domain="QQ").all_coeffs())])
+
+
 @given(_products())
 @settings(max_examples=60, deadline=None)
 def test_is_real_rooted_matches_sympy(p):
@@ -89,6 +95,29 @@ def test_count_real_roots_matches_sympy(p, lo, hi):
     sp, a, b = _to_sympy(p), _rational(lo), _rational(hi)
     assume(sp.eval(a) != 0 and sp.eval(b) != 0)
     assert count_real_roots(p, lo, hi) == sp.count_roots(a, b)
+
+
+@given(_products(), _products(), _products())
+@settings(max_examples=60, deadline=None)
+def test_poly_gcd_matches_sympy(a, b, common):
+    p, q = a * common, b * common
+    assert poly_gcd(p, q) == _from_sympy(sympy.gcd(_to_sympy(p), _to_sympy(q)).monic())
+
+
+@given(_products())
+@settings(max_examples=60, deadline=None)
+def test_sturm_rows_match_sympy(p):
+    # sympy's `sturm` replaces p by its monic squarefree part first, so the
+    # reference is `sturm_q(p, p')`: the Sturm sequence of p and p' by
+    # remainders over Q, repeated factors and the sign of lc(p) kept.
+    sp = _to_sympy(p).as_expr()
+    expected = [_from_sympy(q) for q in sturm_q(sp, sympy.diff(sp, _x), _x)]
+    rows = sturm_chain(p).rows
+    assert len(rows) == len(expected)
+    for row, q in zip(rows, expected):
+        scale = q.leading_coefficient / row[-1]
+        assert scale > 0
+        assert q == P([scale * c for c in row])
 
 
 @given(_products())

@@ -76,6 +76,20 @@ def test_scalar_and_pow():
     assert P([1, 1]) ** 0 == P([1])
 
 
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    assert P([1, 1]) ** 8 == P([1, 8, 28, 56, 70, 56, 28, 8, 1])
+    # 1 * base, then three squarings; no fourth square past the top bit
+    assert len(calls) == 4
+
+
 # ---------------------------------------------------------------------------
 # derivative
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from eulerstab import stability
 from eulerstab.eulerian import affine_b, eulerian_a, eulerian_d, half_b
-from eulerstab.polynomial import Polynomial
+from eulerstab.polynomial import Polynomial, poly_gcd
 from eulerstab.stability import (
     STRICTLY_STABLE,
     UNSTABLE,
@@ -57,8 +57,6 @@ def test_sturm_chain_structure():
 
 def test_sturm_chain_ends_at_common_factor():
     # for non-squarefree input the last chain element is gcd(p, p') up to scale
-    from eulerstab.polynomial import poly_gcd
-
     p = P([1, 1]) ** 2 * P([2, 1])
     chain = sturm_chain(p)
     last = chain.polys[-1]
@@ -83,6 +81,21 @@ def test_count_real_roots_rejects_root_endpoints():
 def test_sturm_chain_rejects_zero():
     with pytest.raises(ValueError):
         sturm_chain(P())
+
+
+def test_remainder_sequences_run_on_integer_rows(monkeypatch):
+    # Sturm chains and gcds share one integer-row remainder sequence; no
+    # Fraction polynomial division may run on their paths.
+    def no_divmod(self, other):
+        raise AssertionError("Fraction polynomial division on an integer-row path")
+
+    p = P([1, 1]) ** 2 * P([-2, 0, 1]) * P([F(1, 3), -1]) ** 3
+    monkeypatch.setattr(P, "__divmod__", no_divmod)
+    assert len(sturm_chain(p).rows) == 5
+    assert poly_gcd(p, p.derivative()) == P([1, 1]) * P([F(-1, 3), 1]) ** 2
+    assert count_real_roots(p, -10, 10) == 4
+    assert not is_real_rooted(p * P([1, 0, 1]))
+    assert is_real_rooted(p)
 
 
 # ---------------------------------------------------------------------------
