@@ -297,12 +297,12 @@ def _primitive(ints: List[int]) -> Tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def _remainder_rows(p: Polynomial, q: Polynomial, sign: int) -> List[Tuple[int, ...]]:
-    """Primitive integer rows of the nonzero ones among p and q, then sign
-    times the primitive pseudo-remainder of the last two rows, up to the
-    first zero remainder.  Each step scales the remainder by a positive
-    integer before it subtracts, so a row is a positive multiple of sign
-    times the rational remainder: its primitive form, which is unique."""
+def _remainder_rows(p: Polynomial, q: Polynomial) -> List[Tuple[int, ...]]:
+    """Primitive integer rows of the nonzero ones among p and q, then the
+    negated primitive pseudo-remainder of the last two rows, up to the first
+    zero remainder.  Each step scales the remainder by a positive integer
+    before it subtracts, so a row is a positive multiple of the negated
+    rational remainder: its primitive form, which is unique."""
     rows = [primitive_integer_coeffs(f) for f in (p, q) if not f.is_zero]
     while len(rows) > 1:
         r, b = rows[-2], rows[-1]
@@ -315,7 +315,7 @@ def _remainder_rows(p: Polynomial, q: Polynomial, sign: int) -> List[Tuple[int, 
                 r.pop()
         if not r:
             break
-        rows.append(_primitive([sign * x for x in r]))
+        rows.append(_primitive([-x for x in r]))
     return rows
 
 
@@ -324,4 +324,4 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     primitive integer remainder sequence of p and q, made monic."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    return Polynomial(_remainder_rows(p, q, 1)[-1]).monic()
+    return Polynomial(_remainder_rows(p, q)[-1]).monic()

@@ -113,7 +113,7 @@ def sturm_chain(p: Polynomial) -> SturmChain:
     if p.is_zero:
         raise ValueError("Sturm chain requires a nonzero polynomial")
     d = p.derivative()
-    rows = _remainder_rows(p, d, -1)
+    rows = _remainder_rows(p, d)
     return SturmChain((p, d, *map(Polynomial, rows[2:]))[: len(rows)], tuple(rows))
 
 

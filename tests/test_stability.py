@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from eulerstab import stability
 from eulerstab.eulerian import affine_b, eulerian_a, eulerian_d, half_b
-from eulerstab.polynomial import Polynomial, poly_gcd
+from eulerstab.polynomial import Polynomial
 from eulerstab.stability import (
     STRICTLY_STABLE,
     UNSTABLE,
@@ -57,6 +57,8 @@ def test_sturm_chain_structure():
 
 def test_sturm_chain_ends_at_common_factor():
     # for non-squarefree input the last chain element is gcd(p, p') up to scale
+    from eulerstab.polynomial import poly_gcd
+
     p = P([1, 1]) ** 2 * P([2, 1])
     chain = sturm_chain(p)
     last = chain.polys[-1]
@@ -86,6 +88,8 @@ def test_sturm_chain_rejects_zero():
 def test_remainder_sequences_run_on_integer_rows(monkeypatch):
     # Sturm chains and gcds share one integer-row remainder sequence; no
     # Fraction polynomial division may run on their paths.
+    from eulerstab.polynomial import poly_gcd
+
     def no_divmod(self, other):
         raise AssertionError("Fraction polynomial division on an integer-row path")
 
