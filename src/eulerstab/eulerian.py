@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from fractions import Fraction
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .polynomial import Polynomial
 
@@ -75,18 +75,24 @@ class FamilyId:
             )
 
 
-_A_RANKS: List[Polynomial] = [Polynomial.one()]  # A_0, A_1, ... built so far
+# A_m at index m for the ranks asked for so far, None for the ranks passed
+# through on the way: keeping every rank would grow memory cubically.
+_A_RANKS: List[Optional[Polynomial]] = [Polynomial.one()]
 
 
 def eulerian_a(m: int) -> Polynomial:
     """Type-A Eulerian polynomial A_m (descents of m+1 letters), built
-    bottom-up so that no call recurses, however large m is."""
+    bottom-up from the highest kept rank below m, so that no call recurses,
+    however large m is."""
     if m < 0:
         raise ValueError("type-A index must be nonnegative")
-    while len(_A_RANKS) <= m:
-        r, prev = len(_A_RANKS), _A_RANKS[-1]
-        _A_RANKS.append(Polynomial([1, r]) * prev - Polynomial([0, -1, 1]) * prev.derivative())
-    return _A_RANKS[m]
+    _A_RANKS.extend([None] * (m + 1 - len(_A_RANKS)))
+    r = next(r for r in range(m, -1, -1) if _A_RANKS[r] is not None)
+    a = _A_RANKS[r]
+    for r in range(r + 1, m + 1):
+        a = Polynomial([1, r]) * a - Polynomial([0, -1, 1]) * a.derivative()
+    _A_RANKS[m] = a
+    return a
 
 
 @functools.cache

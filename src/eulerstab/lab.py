@@ -240,6 +240,15 @@ def verify_identities(n_max: int) -> VerificationReport:
 # interlacing and stability theorems
 
 
+def _interlacing(g: Polynomial, f: Polynomial, message: str) -> Tuple[bool, str]:
+    """Whether g interlaces f, with the failure message; a failed precondition
+    of `interlaces` (say, f is not real-rooted) fails with its own message."""
+    try:
+        return interlaces(g, f), message
+    except ValueError as exc:
+        return False, f"{message}: {exc}"
+
+
 def verify_d_affine_b(n: int) -> VerificationReport:
     """D_n and the affine type-B polynomial are real-rooted, D_n interlaces
     the affine polynomial, and both drop out of the even/odd split of the
@@ -252,7 +261,7 @@ def verify_d_affine_b(n: int) -> VerificationReport:
     ab = affine_b(n)
     report.check(n, is_real_rooted(d), "type-D polynomial is not real-rooted")
     report.check(n, is_real_rooted(ab), "affine type-B polynomial is not real-rooted")
-    report.check(n, interlaces(d, ab), "type-D roots do not interlace the affine type-B roots")
+    report.check(n, *_interlacing(d, ab, "type-D roots do not interlace the affine type-B roots"))
     padded = padded_stability_source(n)
     even, odd = padded.even_odd_split()
     report.check(n, even == d, "even part of the padded source is not D_n")
@@ -275,11 +284,11 @@ def verify_half_reciprocal(n: int) -> VerificationReport:
     report = VerificationReport("half-reciprocal", (n, n))
     start = time.perf_counter()
     bp = half_b(n).plus
-    report.check(n, interlaces(bp, bp.reciprocal(n)), "B+ does not interlace its reversal")
+    report.check(n, *_interlacing(bp, bp.reciprocal(n), "B+ does not interlace its reversal"))
     report.check(n, is_real_rooted(eulerian_b(n)), "B_n is not real-rooted")
     if n >= 2:
         dp = half_d(n).plus
-        report.check(n, interlaces(dp, dp.reciprocal(n)), "D+ does not interlace its reversal")
+        report.check(n, *_interlacing(dp, dp.reciprocal(n), "D+ does not interlace its reversal"))
         report.check(n, is_real_rooted(eulerian_d(n)), "D_n is not real-rooted")
     report.elapsed = time.perf_counter() - start
     return report

@@ -13,17 +13,21 @@ Every decision in this module is made in exact rational arithmetic:
   power-of-two magnitude brackets between the Cauchy bounds (root
   magnitudes of the polynomials handled here span many orders, so plain
   midpoint bisection from the bound would waste dozens of Sturm evaluations
-  per root); inside one octave it splits at midpoints.  An interval that
-  holds one simple root is refined by the sign change alone, with no Sturm
-  count.
+  per root); inside one octave it splits at midpoints.  The Sturm variation
+  counts at an interval's endpoints travel down the recursion, so no point
+  is evaluated twice.  An interval that holds one simple root is refined by
+  the sign change alone, with no Sturm count.  The roots come back as one
+  list of pairs (lo, hi), an exact point being lo == hi.
 * Several polynomials are located together: the squarefree part of their
-  product is isolated once, and each isolating interval's multiplicity in
-  each input is attributed by the signs of its Yun factors at the interval
-  endpoints (exact, since the interval holds one simple root and its
-  endpoints are not roots), so no per-factor Sturm chain is built.
-* Interlacing of two real-rooted polynomials is decided on the merged,
-  exactly ordered root multisets; shared roots are legal because the
-  alternation uses weak inequalities.
+  product is isolated once, and each root's multiplicity in each input is
+  attributed by the signs of its Yun factors: a factor owns the root iff it
+  vanishes at lo or changes sign between lo and hi (exact, since an
+  interval holds one simple root and its endpoints are not roots), so no
+  per-factor Sturm chain is built.
+* Interlacing of two real-rooted polynomials is decided by one running
+  count over their exactly ordered joint roots, taken from the top: f's
+  roots minus g's roots must stay in {0, 1}.  Shared roots are legal
+  because the alternation uses weak inequalities.
 * Weak Hurwitz stability is decided by the even/odd interlacing criterion:
   p is weakly stable iff its even and odd parts are real-rooted with only
   nonpositive zeros and the odd part interlaces the even part (with a
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .polynomial import (
     Polynomial,
@@ -199,67 +203,53 @@ class RootIsolation:
         return len(self.roots)
 
 
-def _pow2_at_least(x: Fraction) -> Fraction:
-    b = Fraction(1)
-    while b < x:
-        b *= 2
-    return b
-
-
 # Stopping width for refining an isolating interval (a, b): refinement
 # bisects while b - a exceeds width(a, b).
 _Width = Callable[[Fraction, Fraction], Fraction]
 
 
-def _isolate_squarefree(
-    s: Polynomial, width: Optional[_Width]
-) -> Tuple[List[Fraction], List[Tuple[Fraction, Fraction]]]:
+def _isolate_squarefree(s: Polynomial, width: Optional[_Width]) -> List[Tuple[Fraction, Fraction]]:
     """Isolate all real roots of a squarefree polynomial.
 
-    Returns (points, intervals): exact rational roots discovered along the
-    way, plus open intervals holding exactly one root each.  When width is
-    given, each interval is refined until b - a <= width(a, b) (unless the
-    root is found exactly first).  No endpoint is a root of s: each one
-    passes an exact nonzero test, and 0 is never an endpoint.
+    Returns one list of roots: a pair (r, r) for an exact rational root found
+    along the way, else an open interval (a, b) holding exactly one root.
+    When width is given, each interval is refined until b - a <= width(a, b)
+    (unless the root is found exactly first).  No interval endpoint is a root
+    of s: each one passes an exact nonzero test, and 0 is never an endpoint.
+    The Sturm variation counts at an interval's endpoints travel down the
+    recursion with it, so no point is evaluated twice.
     """
-    points: List[Fraction] = []
-    intervals: List[Tuple[Fraction, Fraction]] = []
+    roots: List[Tuple[Fraction, Fraction]] = []
     if s.constant_term == 0:
-        points.append(_ZERO)
+        roots.append((_ZERO, _ZERO))
         s = s.exact_div(_X)
     if s.degree < 1:
-        return points, intervals
+        return roots
 
     chain = sturm_chain(s)
     row = chain.rows[0]
-    vcache: Dict[Fraction, int] = {}
+    var = chain.variations
 
-    def var(t: Fraction) -> int:
-        v = vcache.get(t)
-        if v is None:
-            v = chain.variations(t)
-            vcache[t] = v
-        return v
+    # Every root satisfies 2^-elo < |root| < 2^ehi, where 2^ehi is the least
+    # power of two >= the Cauchy bound 1 + max|row[:-1]| / |row[-1]| and 2^elo
+    # that of the reversed row.  The constant term is nonzero, so elo, ehi >= 1.
+    def exponent(lead: int, rest: Sequence[int]) -> int:
+        return (-(-max(map(abs, rest)) // abs(lead))).bit_length()
 
-    def cnt(a: Fraction, b: Fraction) -> int:
-        return var(a) - var(b)
-
-    # Every root satisfies lo < |root| < hi.  Both Cauchy bounds exceed 1
-    # (s and its reciprocal have nonzero constant terms), so lo <= 1/2 and
-    # hi >= 2.
-    hi = _pow2_at_least(cauchy_root_bound(s))
-    lo = 1 / _pow2_at_least(cauchy_root_bound(s.reciprocal(s.degree)))
-    mags = [lo]
-    while mags[-1] < hi:
-        mags.append(mags[-1] * 2)
+    elo, ehi = exponent(row[0], row[1:]), exponent(row[-1], row[:-1])
+    mags = [Fraction(2) ** e for e in range(-elo, ehi + 1)]
     bounds = [-m for m in reversed(mags)] + mags
 
-    def hug(t: Fraction, start: Fraction) -> Fraction:
-        # Shrink a symmetric gap around the known root t until it holds only t.
+    def hug(t: Fraction, start: Fraction) -> Tuple[Fraction, int, int]:
+        # Shrink a symmetric gap around the known root t until it holds only
+        # t; return it with the variation counts at its ends.
         d = start
-        while not _sign_at(row, t - d) or not _sign_at(row, t + d) or cnt(t - d, t + d) != 1:
+        while True:
+            if _sign_at(row, t - d) and _sign_at(row, t + d):
+                vl, vr = var(t - d), var(t + d)
+                if vl - vr == 1:
+                    return d, vl, vr
             d /= 2
-        return d
 
     def refine(a: Fraction, b: Fraction) -> None:
         # (a, b) holds one simple root and neither endpoint is a root, so the
@@ -270,42 +260,38 @@ def _isolate_squarefree(
                 m = (a + b) / 2
                 sm = _sign_at(row, m)
                 if not sm:
-                    points.append(m)
+                    roots.append((m, m))
                     return
-                if sm != sa:
-                    b = m
-                else:
-                    a = m
-        intervals.append((a, b))
+                a, b = (a, m) if sm != sa else (m, b)
+        roots.append((a, b))
 
-    def bisect(a: Fraction, b: Fraction, c: int, i: int, j: int) -> None:
-        # (a, b) holds c > 0 roots and lies in [bounds[i], bounds[j]].  Split
-        # at the middle bracket while the span covers more than one octave,
-        # then at arithmetic midpoints; a root found at the split point
-        # becomes an exact point with a root-free gap around it.
+    def bisect(a: Fraction, b: Fraction, va: int, vb: int, i: int, j: int) -> None:
+        # (a, b) holds va - vb roots, va and vb being the variation counts at
+        # a and b, and lies in [bounds[i], bounds[j]].  Split at the middle
+        # bracket while the span covers more than one octave, then at
+        # arithmetic midpoints; a root found at the split point becomes an
+        # exact point with a root-free gap around it.
+        if va == vb:
+            return
         if j - i > 1:
             k = (i + j) // 2
             m, start, left, right = bounds[k], abs(bounds[k]) / 4, (i, k), (k, j)
-        elif c == 1:
+        elif va - vb == 1:
             refine(a, b)
             return
         else:
             m, start, left, right = (a + b) / 2, (b - a) / 4, (i, j), (i, j)
-        d = _ZERO
-        if not _sign_at(row, m):
-            points.append(m)
-            d = hug(m, start)
-        cl = cnt(a, m - d)
-        if cl:
-            bisect(a, m - d, cl, *left)
-        cr = cnt(m + d, b)
-        if cr:
-            bisect(m + d, b, cr, *right)
+        if _sign_at(row, m):
+            d = _ZERO
+            vl = vr = var(m)
+        else:
+            roots.append((m, m))
+            d, vl, vr = hug(m, start)
+        bisect(a, m - d, va, vl, *left)
+        bisect(m + d, b, vr, vb, *right)
 
-    c = cnt(-hi, hi)
-    if c:
-        bisect(-hi, hi, c, 0, len(bounds) - 1)
-    return points, intervals
+    bisect(bounds[0], bounds[-1], var(bounds[0]), var(bounds[-1]), 0, len(bounds) - 1)
+    return roots
 
 
 # One distinct real root of the product of some polynomials: an exact point
@@ -321,28 +307,28 @@ def _locate(polys: Sequence[Polynomial], width: Optional[_Width]) -> List[_Locat
     multiplicity in each polynomial.
 
     The squarefree part w of the product, the monic lcm of all Yun factors,
-    is isolated once, so a shared root lands in one location.  An isolating
-    interval (a, b) holds exactly one root of w, a simple one, and no
-    endpoint is a root of w, so a Yun factor of an input owns that root iff
-    it changes sign between a and b.
+    is isolated once, so a shared root lands in one location.  Its roots
+    come back as one list of pairs (a, b), exact points with a == b, and a
+    Yun factor of an input owns a root iff it vanishes at a or changes sign
+    between a and b.
     """
     decomps = [squarefree_decompose(p) for p in polys]
     w = Polynomial.one()
     for factors in decomps:
         for q, _ in factors:
             w = (w * q).exact_div(poly_gcd(w, q))
-    points, intervals = _isolate_squarefree(w, width)
     rows = [[(primitive_integer_coeffs(q), m) for q, m in factors] for factors in decomps]
 
-    def mults(owns: Callable[[Tuple[int, ...]], bool]) -> Tuple[int, ...]:
-        return tuple(sum(m for row, m in factors if owns(row)) for factors in rows)
+    def owns(row: Tuple[int, ...], a: Fraction, b: Fraction) -> bool:
+        sa = _sign_at(row, a)
+        return not sa or (a < b and sa != _sign_at(row, b))
 
-    locs = [_Location(r, r, mults(lambda row: not _sign_at(row, r))) for r in points]
-    for a, b in intervals:
-        loc = _Location(a, b, mults(lambda row: _sign_at(row, a) != _sign_at(row, b)))
-        if not any(loc.mults):
-            raise RuntimeError("internal error: isolating interval matches no factor")
-        locs.append(loc)
+    locs = []
+    for a, b in _isolate_squarefree(w, width):
+        mults = tuple(sum(m for row, m in factors if owns(row, a, b)) for factors in rows)
+        if not any(mults):
+            raise RuntimeError("internal error: isolated root matches no factor")
+        locs.append(_Location(a, b, mults))
     locs.sort()
     return locs
 
@@ -407,16 +393,14 @@ def is_real_rooted(p: Polynomial) -> bool:
 
 def _alternation_holds(locs: Sequence[_Location]) -> bool:
     """Weak alternation r_1 >= s_1 >= r_2 >= s_2 >= ... where the r_i are
-    f's roots and the s_i are g's roots, both descending with multiplicity."""
-    rranks: List[int] = []
-    sranks: List[int] = []
-    for rank, (_, _, (f_mult, g_mult)) in enumerate(reversed(locs)):
-        rranks.extend([rank] * f_mult)
-        sranks.extend([rank] * g_mult)
-    for i, s in enumerate(sranks):
-        if rranks[i] > s:
-            return False
-        if i + 1 < len(rranks) and s > rranks[i + 1]:
+    f's roots and the s_i are g's roots, both descending with multiplicity,
+    and deg(g) in {deg(f) - 1, deg(f)}: from the top, f's roots minus g's
+    roots must stay in {0, 1} after each location (roots sharing a location
+    can be ordered freely)."""
+    ahead = 0
+    for _, _, (f_mult, g_mult) in reversed(locs):
+        ahead += f_mult - g_mult
+        if ahead not in (0, 1):
             return False
     return True
 

@@ -11,6 +11,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from eulerstab import lab
 from eulerstab.cli import (
     emit,
     main,
@@ -187,6 +188,16 @@ def test_verify_n_max_below_check_minimum_exit_2(check, n_max, lowest, capsys):
     assert f"needs --n-max >= {lowest}" in err
     if check != "all":
         assert check in err
+
+
+def test_failed_interlacing_precondition_exit_1(monkeypatch, capsys):
+    # A verification failure exits 1 even when `interlaces` rejects its input.
+    real = lab.eulerian_d
+    monkeypatch.setattr(lab, "eulerian_d", lambda n: P([100, 11, 11, 1]) if n == 3 else real(n))
+    code, out = _capture(["verify", "--check", "interlacing", "--n-max", "4"])
+    assert code == 1
+    assert "interlacing requires real-rooted polynomials" in out
+    assert capsys.readouterr().err == ""
 
 
 def test_usage_error_exit_2(capsys):

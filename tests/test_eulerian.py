@@ -1,6 +1,7 @@
 """Family generators against brute-force oracles and series expansions."""
 
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations
 from math import comb, factorial
@@ -76,6 +77,23 @@ def test_eulerian_a_depth_does_not_grow_with_rank(monkeypatch):
     finally:
         sys.setrecursionlimit(limit)
     assert a300(1) == factorial(301)
+
+
+def test_eulerian_a_keeps_only_the_ranks_asked_for(monkeypatch):
+    # Keeping A_0..A_400 would trace over 100 times A_400's own size.
+    monkeypatch.setattr(eulerian, "_A_RANKS", [P.one()])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        a400 = eulerian_a(400)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    own = sys.getsizeof(a400.coeffs) + sum(
+        sys.getsizeof(c) + sys.getsizeof(c.numerator) + sys.getsizeof(c.denominator)
+        for c in a400.coeffs
+    )
+    assert held < 3 * own
 
 
 def test_a_series_expansion():

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from eulerstab.eulerian import affine_b, eulerian_a, eulerian_d, half_b, zigzag
+from eulerstab import lab
+from eulerstab.eulerian import HalfPair, affine_b, eulerian_a, eulerian_d, half_b, zigzag
 from eulerstab.lab import (
     VerificationReport,
     apply_stability_operator,
@@ -76,6 +77,19 @@ def test_d_affine_small_ranks():
         assert report.status == "pass", report.failures
 
 
+def test_d_affine_records_failed_interlacing_precondition(monkeypatch):
+    # x^3 + 11x^2 + 11x + 100 is not real-rooted, so `interlaces` rejects it.
+    checks = verify_d_affine_b(3).checks_run
+    monkeypatch.setattr(lab, "eulerian_d", lambda n: P([100, 11, 11, 1]))
+    report = verify_d_affine_b(3)
+    assert report.status == "fail" and report.checks_run == checks
+    assert (
+        3,
+        "type-D roots do not interlace the affine type-B roots: "
+        "interlacing requires real-rooted polynomials",
+    ) in report.failures
+
+
 def test_d_affine_rejects_rank_1():
     with pytest.raises(ValueError):
         verify_d_affine_b(1)
@@ -92,6 +106,16 @@ def test_half_reciprocal_examples():
     for n in range(1, 13):
         report = verify_half_reciprocal(n)
         assert report.status == "pass", report.failures
+
+
+def test_half_reciprocal_records_failed_interlacing_precondition(monkeypatch):
+    checks = verify_half_reciprocal(2).checks_run
+    monkeypatch.setattr(lab, "half_b", lambda n: HalfPair(P([1, 0, 1]), P([1, 0, 1])))
+    report = verify_half_reciprocal(2)
+    assert report.checks_run == checks
+    assert report.failures == [
+        (2, "B+ does not interlace its reversal: interlacing requires real-rooted polynomials")
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from eulerstab import stability
 from eulerstab.eulerian import affine_b, eulerian_a, eulerian_d, half_b
+from eulerstab.lab import padded_stability_source
 from eulerstab.polynomial import Polynomial
 from eulerstab.stability import (
     STRICTLY_STABLE,
@@ -222,6 +223,26 @@ def test_isolation_rejects_nonpositive_width_and_digits():
     for digits in (0, -3):
         with pytest.raises(ValueError, match="digits"):
             approximate_real_roots(p, digits)
+
+
+def test_isolation_evaluates_each_point_once(monkeypatch):
+    # The recursion hands each interval's endpoint counts to its halves, and
+    # the gap around an exact root at a split point hands its own counts on.
+    seen = []
+    variations = stability.SturmChain.variations
+
+    def spy(chain, x):
+        seen.append(x)
+        return variations(chain, x)
+
+    monkeypatch.setattr(stability.SturmChain, "variations", spy)
+    hugged = P([1, 1]) * P([-3, 1]) * P([-2, 0, 1])  # roots -1 and 3 are split points
+    for p in (hugged, padded_stability_source(12)):
+        for run in (isolate_real_roots, lambda q: isolate_real_roots(q, None), approximate_real_roots):
+            seen.clear()
+            run(p)
+            assert seen and len(set(seen)) == len(seen)
+    assert [r.lo for r in isolate_real_roots(hugged) if r.is_point] == [-1, 3]
 
 
 def test_isolation_skips_root_free_side(monkeypatch):
