@@ -335,47 +335,45 @@ def _cmd_oracle(ns: argparse.Namespace) -> tuple[str, int]:
     return emit(records, ns.fmt), 0
 
 
+def _operator_reports(n: int, ks: Optional[List[Fraction]], rng: random.Random) -> List[VerificationReport]:
+    if ks is None:
+        ks = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(3)]
+    return [lab.operator_symbol_check(n, k) for k in ks]
+
+
+# The reports of each per-rank verify check at rank n, from --ks or, when ks
+# is None, from the check's own k: the default grid, or three seeded draws.
+_RANK_CHECKS = {
+    "interlacing": lambda n, ks, rng: [lab.verify_d_affine_b(n)],
+    "half-reciprocal": lambda n, ks, rng: [lab.verify_half_reciprocal(n)],
+    "stability": lambda n, ks, rng: [
+        lab.verify_family_stability(n, lab.default_k_grid(n) if ks is None else ks)
+    ],
+    "operator-symbol": _operator_reports,
+}
+
+
 def _verify_reports(ns: argparse.Namespace) -> List[VerificationReport]:
     n_max = ns.n_max
-    wanted = ns.check
-    if ns.ks is not None and wanted not in ("stability", "operator-symbol", "all"):
-        raise ValueError(f"--ks has no effect on --check {wanted}")
-    for check, lowest in _CHECK_MIN_RANK.items():
-        if wanted in (check, "all") and n_max < lowest:
-            raise ValueError(f"check {check} needs --n-max >= {lowest}, got {n_max}")
-    reports: List[VerificationReport] = []
-    if wanted in ("identities", "all"):
-        reports.append(lab.verify_identities(n_max))
-    if wanted in ("interlacing", "all"):
-        reports.append(
-            lab.merge_reports(
-                "d-affine-interlacing", [lab.verify_d_affine_b(n) for n in range(2, n_max + 1)]
-            )
-        )
-    if wanted in ("half-reciprocal", "all"):
-        reports.append(
-            lab.merge_reports(
-                "half-reciprocal", [lab.verify_half_reciprocal(n) for n in range(1, n_max + 1)]
-            )
-        )
-    if wanted in ("stability", "all"):
-        per_rank = []
-        for n in range(2, n_max + 1):
-            ks = ns.ks if ns.ks is not None else lab.default_k_grid(n)
-            per_rank.append(lab.verify_family_stability(n, ks))
-        reports.append(lab.merge_reports("family-stability", per_rank))
-    if wanted in ("operator-symbol", "all"):
-        rng = random.Random(_OPERATOR_SEED)
-        per_rank = []
-        for n in range(1, n_max + 1):
-            ks = ns.ks
-            if ks is None:
-                ks = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(3)]
-            per_rank.append(
-                lab.merge_reports("operator-symbol", [lab.operator_symbol_check(n, k) for k in ks])
-            )
-        reports.append(lab.merge_reports("operator-symbol", per_rank))
-    return reports
+    wanted = [check for check in _CHECK_MIN_RANK if ns.check in (check, "all")]
+    if ns.ks is not None and ns.check not in ("stability", "operator-symbol", "all"):
+        raise ValueError(f"--ks has no effect on --check {ns.check}")
+    for check in wanted:
+        if n_max < _CHECK_MIN_RANK[check]:
+            raise ValueError(f"check {check} needs --n-max >= {_CHECK_MIN_RANK[check]}, got {n_max}")
+    per_rank = {check: [] for check in wanted if check in _RANK_CHECKS}
+    rng = random.Random(_OPERATOR_SEED)
+    for n in range(n_max + 1):
+        for check, reports in per_rank.items():
+            if n >= _CHECK_MIN_RANK[check]:
+                reports += _RANK_CHECKS[check](n, ns.ks, rng)
+    # Each merged report keeps the check id of its per-rank reports.
+    return [
+        lab.merge_reports(per_rank[check][0].check_id, per_rank[check])
+        if check in per_rank
+        else lab.verify_identities(n_max)
+        for check in wanted
+    ]
 
 
 def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:

@@ -36,18 +36,20 @@ from .polynomial import Polynomial
 _X = Polynomial.x()
 _ONE_PLUS_X = Polynomial([1, 1])
 
-FAMILIES = ("A", "B", "D", "AffineB", "BPlus", "BMinus", "DPlus", "DMinus")
-
-_FAMILY_MIN_RANK = {
-    "A": 0,
-    "B": 1,
-    "AffineB": 1,
-    "BPlus": 1,
-    "BMinus": 1,
-    "D": 2,
-    "DPlus": 2,
-    "DMinus": 2,
+# Per family tag: (lowest rank, generator).  Each row calls its generator
+# by its module-level name, so a later rebinding of that name (a tracing
+# wrapper, say) is seen here too.
+_FAMILIES = {
+    "A": (0, lambda n: eulerian_a(n)),
+    "B": (1, lambda n: eulerian_b(n)),
+    "D": (2, lambda n: eulerian_d(n)),
+    "AffineB": (1, lambda n: affine_b(n)),
+    "BPlus": (1, lambda n: half_b(n).plus),
+    "BMinus": (1, lambda n: half_b(n).minus),
+    "DPlus": (2, lambda n: half_d(n).plus),
+    "DMinus": (2, lambda n: half_d(n).minus),
 }
+FAMILIES = tuple(_FAMILIES)
 
 
 class ConsistencyError(RuntimeError):
@@ -61,22 +63,23 @@ class HalfPair(NamedTuple):
 
 @dataclasses.dataclass(frozen=True)
 class FamilyId:
-    """A polynomial family tag plus a rank inside its domain."""
+    """A polynomial family tag plus a rank inside its domain: the tag is one
+    of FAMILIES and the rank is at least that family's lowest rank."""
 
     tag: str
     rank: int
 
     def __post_init__(self) -> None:
-        if self.tag not in _FAMILY_MIN_RANK:
+        if self.tag not in _FAMILIES:
             raise ValueError(f"unknown family {self.tag!r}; expected one of {FAMILIES}")
-        if self.rank < _FAMILY_MIN_RANK[self.tag]:
-            raise ValueError(
-                f"family {self.tag} needs rank >= {_FAMILY_MIN_RANK[self.tag]}, got {self.rank}"
-            )
+        lowest = _FAMILIES[self.tag][0]
+        if self.rank < lowest:
+            raise ValueError(f"family {self.tag} needs rank >= {lowest}, got {self.rank}")
 
 
-# A_m at index m for the ranks asked for so far, None for the ranks passed
-# through on the way: keeping every rank would grow memory cubically.
+# A_m at index m for the ranks asked for so far and the rank below each,
+# None for the ranks passed through on the way: keeping every rank would
+# grow memory cubically.
 _A_RANKS: List[Optional[Polynomial]] = [Polynomial.one()]
 
 
@@ -90,6 +93,9 @@ def eulerian_a(m: int) -> Polynomial:
     r = next(r for r in range(m, -1, -1) if _A_RANKS[r] is not None)
     a = _A_RANKS[r]
     for r in range(r + 1, m + 1):
+        if r == m:
+            # Keep A_(m-1) too: every rank-n family reads A_(n-1) and A_(n-2).
+            _A_RANKS[m - 1] = a
         a = Polynomial([1, r]) * a - Polynomial([0, -1, 1]) * a.derivative()
     _A_RANKS[m] = a
     return a
@@ -165,23 +171,8 @@ def half_d(n: int) -> HalfPair:
 
 
 def family_polynomial(fid: FamilyId) -> Polynomial:
-    """Dispatch a FamilyId to its generator."""
-    tag, n = fid.tag, fid.rank
-    if tag == "A":
-        return eulerian_a(n)
-    if tag == "B":
-        return eulerian_b(n)
-    if tag == "D":
-        return eulerian_d(n)
-    if tag == "AffineB":
-        return affine_b(n)
-    if tag == "BPlus":
-        return half_b(n).plus
-    if tag == "BMinus":
-        return half_b(n).minus
-    if tag == "DPlus":
-        return half_d(n).plus
-    return half_d(n).minus
+    """The polynomial of a FamilyId, from its family's generator."""
+    return _FAMILIES[fid.tag][1](fid.rank)
 
 
 @dataclasses.dataclass(frozen=True)

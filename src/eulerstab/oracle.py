@@ -22,7 +22,8 @@ descent count is updated from the two comparisons beside that entry (plus
 the head comparison when the type-D pad -s_2 moves) instead of recounted.
 The last bit flips once, at step 2^(n-1), so the last_positive and
 last_negative filters are the first and second half of the walk; every step
-changes the parity of the mask, so type D is the even steps.
+changes the parity of the mask, so type D is the even steps.  Type A is the
+same walk with no sign bits: one element per permutation.
 A budget guard refuses group orders that are too large to enumerate.
 """
 
@@ -35,10 +36,19 @@ from typing import Iterable, Sequence, Tuple, Union
 
 from .polynomial import Polynomial
 
-GROUPS = ("A", "B", "D")
-STATS = ("des", "affdes", "des_d")
+# (group, statistic) -> lowest rank, for every pair with a distribution; a
+# group's own "des" row is also the domain of the group itself.
+_LOWEST_RANK = {
+    ("A", "des"): 1,
+    ("B", "des"): 1,
+    ("B", "affdes"): 2,
+    ("B", "des_d"): 2,
+    ("D", "des"): 2,
+    ("D", "des_d"): 2,
+}
+GROUPS = tuple(dict.fromkeys(group for group, _ in _LOWEST_RANK))
+STATS = tuple(dict.fromkeys(stat for _, stat in _LOWEST_RANK))
 FILTERS = ("all", "last_positive", "last_negative")
-_MIN_RANK = {"A": 1, "B": 1, "D": 2}
 
 DEFAULT_BUDGET = 10**8
 
@@ -126,8 +136,9 @@ def group_order(group: str, n: int) -> int:
     """Number of elements of the rank-n group (A: n letters)."""
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
-    if n < _MIN_RANK[group]:
-        raise ValueError(f"group {group} needs rank >= {_MIN_RANK[group]}")
+    lowest = _LOWEST_RANK[group, "des"]
+    if n < lowest:
+        raise ValueError(f"group {group} needs rank >= {lowest}")
     if group == "A":
         return factorial(n)
     if group == "B":
@@ -156,17 +167,11 @@ def distribution(
         raise ValueError(f"unknown statistic {stat!r}")
     if filter not in FILTERS:
         raise ValueError(f"unknown filter {filter!r}")
-    if group == "A":
-        if stat != "des":
-            raise ValueError("group A supports only the des statistic")
-        if n < 1:
-            raise ValueError("group A needs at least one letter")
-    else:
-        min_rank = 2 if (group == "D" or stat in ("affdes", "des_d")) else 1
-        if n < min_rank:
-            raise ValueError(f"group {group} with statistic {stat} needs rank >= {min_rank}")
-    if stat == "affdes" and group != "B":
-        raise ValueError("the affine statistic is only defined over group B")
+    lowest = _LOWEST_RANK.get((group, stat))
+    if lowest is None:
+        raise ValueError(f"statistic {stat} is not defined over group {group}")
+    if n < lowest:
+        raise ValueError(f"group {group} with statistic {stat} needs rank >= {lowest}")
     # Every group order is at least 2^(n-1), so a huge rank is refused
     # without computing (and printing) its order.
     if n - 1 >= budget.bit_length():
@@ -175,24 +180,19 @@ def distribution(
     if order > budget:
         raise BudgetExceededError(f"group order {order} exceeds the enumeration budget {budget}")
 
-    hist = [0] * (n + 2)
-
-    if group == "A":
-        if filter == "last_negative":
-            return Polynomial()
-        for perm in itertools.permutations(range(1, n + 1)):
-            hist[_descents(perm)] += 1
-        return Polynomial(hist)
-
+    if group == "A" and filter == "last_negative":
+        return Polynomial()
     d_pad = stat == "des_d" or (stat == "des" and group == "D")
     affine = stat == "affdes"
-    # A filter walks half of the Gray code: the (n-1)-bit code, whose steps
-    # are also steps 2^(n-1)+1.. of the n-bit one.  Each step is (padded
-    # position of the negated entry, whether the element is counted).
-    bits = n if filter == "all" else n - 1
+    # Type A is the walk with no sign bits.  A filter walks half of the Gray
+    # code: the (n-1)-bit code, whose steps are also steps 2^(n-1)+1.. of the
+    # n-bit one.  Each step is (padded position of the negated entry,
+    # whether the element is counted).
+    bits = 0 if group == "A" else n if filter == "all" else n - 1
     steps = [((t & -t).bit_length(), group == "B" or t % 2 == 0) for t in range(1, 1 << bits)]
     head_pos = 2 if d_pad else -1
 
+    hist = [0] * (n + 2)
     for perm in itertools.permutations(range(1, n + 1)):
         # p = (head, s_1, ..., s_n, n + 1); the sentinel n + 1 adds no descent.
         p = [0, *perm, n + 1]

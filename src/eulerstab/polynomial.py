@@ -222,11 +222,7 @@ class Polynomial:
 
     def of_x_squared(self) -> "Polynomial":
         """p(x^2)."""
-        out = []
-        for c in self._coeffs:
-            out.append(c)
-            out.append(Fraction(0))
-        return Polynomial(out)
+        return interleave(self, Polynomial())
 
     # ------------------------------------------------------------------
     # division

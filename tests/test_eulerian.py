@@ -10,6 +10,7 @@ import pytest
 
 from eulerstab import eulerian
 from eulerstab.eulerian import (
+    FAMILIES,
     FamilyId,
     affine_b,
     eulerian_a,
@@ -94,6 +95,20 @@ def test_eulerian_a_keeps_only_the_ranks_asked_for(monkeypatch):
         for c in a400.coeffs
     )
     assert held < 3 * own
+
+
+def test_cold_d_build_runs_each_type_a_step_once(monkeypatch):
+    # D_n reads A_(n-1) through B_n and then A_(n-2): building A_(n-1) from
+    # A_0 must leave A_(n-2) behind, not a second walk up from A_0.
+    monkeypatch.setattr(eulerian, "_A_RANKS", [P.one()])
+    eulerian_b.cache_clear()
+    eulerian_d.cache_clear()
+    steps = []
+    derivative = P.derivative
+    monkeypatch.setattr(P, "derivative", lambda self: steps.append(1) or derivative(self))
+    d40 = eulerian_d(40)
+    assert len(steps) == 39
+    assert d40(1) == 2**39 * factorial(40)
 
 
 def test_a_series_expansion():
@@ -255,3 +270,14 @@ def test_family_id_domains():
         FamilyId("A", -1)
     with pytest.raises(ValueError):
         FamilyId("Q", 3)
+
+
+@pytest.mark.parametrize("tag", FAMILIES)
+def test_every_family_starts_at_its_lowest_rank(tag):
+    # FamilyId and the generator behind the tag agree on the domain.
+    lowest, generate = eulerian._FAMILIES[tag]
+    assert not family_polynomial(FamilyId(tag, lowest)).is_zero
+    with pytest.raises(ValueError, match="needs rank"):
+        FamilyId(tag, lowest - 1)
+    with pytest.raises(ValueError):
+        generate(lowest - 1)

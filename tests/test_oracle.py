@@ -9,6 +9,8 @@ from eulerstab import oracle
 from eulerstab.eulerian import affine_b, eulerian_b, eulerian_d, half_d
 from eulerstab.oracle import (
     FILTERS,
+    GROUPS,
+    STATS,
     BudgetExceededError,
     SignedPerm,
     affdes_b,
@@ -192,18 +194,28 @@ def test_budget_guard_skips_order_of_huge_rank(monkeypatch):
 
 
 def test_incompatible_combinations():
-    with pytest.raises(ValueError):
-        distribution("A", "affdes", 3)
-    with pytest.raises(ValueError):
-        distribution("D", "affdes", 3)
-    with pytest.raises(ValueError):
-        distribution("B", "affdes", 1)
-    with pytest.raises(ValueError):
-        distribution("B", "des_d", 1)
-    with pytest.raises(ValueError):
-        distribution("D", "des", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown group"):
         distribution("Z", "des", 2)
+    with pytest.raises(ValueError, match="unknown statistic"):
+        distribution("B", "bogus", 2)
+    with pytest.raises(ValueError, match="unknown filter"):
+        distribution("B", "des", 2, "bogus")
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@pytest.mark.parametrize("stat", STATS)
+def test_pair_domains_match_the_naive_table(group, stat):
+    # A pair the naive enumeration leaves out has no distribution at any
+    # rank; a listed pair has one from its lowest rank on, and none below.
+    if (group, stat) not in _NAIVE_STATS:
+        for n in range(5):
+            with pytest.raises(ValueError, match="not defined"):
+                distribution(group, stat, n)
+        return
+    lowest = _NAIVE_STATS[group, stat][1]
+    with pytest.raises(ValueError, match="needs rank"):
+        distribution(group, stat, lowest - 1)
+    assert sum(distribution(group, stat, lowest).coeffs) == group_order(group, lowest)
 
 
 def test_empty_filter_gives_zero_polynomial():
