@@ -8,6 +8,12 @@ what the identity checks and stability decisions in the rest of the package
 rely on; nothing here ever touches floating point, and floats are rejected
 on construction rather than silently truncated.
 
+The heavy loops run on integer rows, not on Fractions: a product clears each
+factor's denominators once (its lcm times the coefficients), convolves the
+Python ints and divides by the two lcms at the end, and the gcd and Sturm
+paths share one primitive remainder sequence on such rows
+(`_remainder_rows`).
+
 The degree of the zero polynomial is the distinguished marker
 ``NEG_INFINITY`` (``float("-inf")``), which compares below every integer.
 """
@@ -161,16 +167,17 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             c = _coerce(other)
             return Polynomial([c * a for a in self._coeffs])
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
+        if not self._coeffs or not other._coeffs:
             return Polynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        # Convolve the integer rows; the product's denominator is da * db.
+        (a, da), (b, db) = _integer_row(self), _integer_row(other)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Polynomial(out)
+            if ca:
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        den = da * db
+        return Polynomial([Fraction(c, den) for c in out])
 
     __rmul__ = __mul__
 
@@ -284,8 +291,14 @@ def primitive_integer_coeffs(p: Polynomial) -> Tuple[int, ...]:
     entries are coprime integers.  Signs are preserved."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no primitive form")
+    return _primitive(_integer_row(p)[0])
+
+
+def _integer_row(p: Polynomial) -> Tuple[List[int], int]:
+    """(row, den) with den the lcm of p's denominators and row = den * p's
+    coefficients, as ints."""
     den = _int_lcm(*(c.denominator for c in p.coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
 
 
 def _primitive(ints: List[int]) -> Tuple[int, ...]:

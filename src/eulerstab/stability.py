@@ -237,7 +237,8 @@ def _isolate_squarefree(s: Polynomial, width: Optional[_Width]) -> List[Tuple[Fr
         return (-(-max(map(abs, rest)) // abs(lead))).bit_length()
 
     elo, ehi = exponent(row[0], row[1:]), exponent(row[-1], row[:-1])
-    mags = [Fraction(2) ** e for e in range(-elo, ehi + 1)]
+    mags = [Fraction(1, 1 << e) for e in range(elo, 0, -1)]
+    mags += [Fraction(1 << e) for e in range(ehi + 1)]
     bounds = [-m for m in reversed(mags)] + mags
 
     def hug(t: Fraction, start: Fraction) -> Tuple[Fraction, int, int]:

@@ -62,9 +62,9 @@ def _finish(criterion: str, failures: list, started: float) -> None:
 
 def test_criterion_01_identity_suite():
     started = time.time()
-    report = verify_identities(20)
+    report = verify_identities(40)
     failures = list(report.failures)
-    _finish("1 identity-suite ranks<=20", failures, started)
+    _finish("1 identity-suite ranks<=40", failures, started)
 
 
 def test_criterion_02_oracle_equivalence():

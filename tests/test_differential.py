@@ -82,6 +82,18 @@ def _from_sympy(q) -> Polynomial:
     return P([_to_fraction(c) for c in reversed(sympy.Poly(q, _x, domain="QQ").all_coeffs())])
 
 
+# interior zeros, the zero polynomial and denominators up to 12
+_dense = st.lists(
+    st.fractions(min_value=-50, max_value=50, max_denominator=12) | st.just(F(0)), max_size=9
+).map(P)
+
+
+@given(_dense, _dense)
+@settings(max_examples=100, deadline=None)
+def test_mul_matches_sympy(p, q):
+    assert p * q == _from_sympy(_to_sympy(p).mul(_to_sympy(q)))
+
+
 @given(_products())
 @settings(max_examples=60, deadline=None)
 def test_is_real_rooted_matches_sympy(p):

@@ -70,6 +70,20 @@ def test_mul_difference_of_squares():
     assert P([1, 1]) * P([1, -1]) == P([1, 0, -1])
 
 
+def test_mul_of_integer_polynomials_runs_no_fraction_arithmetic(monkeypatch):
+    # The product convolves integer rows; Fraction arithmetic in its inner
+    # loop would cost one Fraction multiply and add per coefficient pair.
+    def refuse(self, other):
+        raise AssertionError("Fraction arithmetic in an integer product")
+
+    p, q = P([1, -2, 0, 3]), P([4, 0, 5])
+    monkeypatch.setattr(F, "__mul__", refuse)
+    monkeypatch.setattr(F, "__add__", refuse)
+    product = p * q
+    monkeypatch.undo()
+    assert product == P([4, -8, 5, 2, 0, 15])
+
+
 def test_scalar_and_pow():
     assert 3 * P([1, 1]) == P([3, 3])
     assert P([1, 1]) ** 3 == P([1, 3, 3, 1])
@@ -200,6 +214,28 @@ def test_ring_axioms(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
     assert p + (-p) == P()
+
+
+def _schoolbook_product(p, q):
+    if p.is_zero or q.is_zero:
+        return []
+    out = [F(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return out
+
+
+# interior zeros, the zero polynomial (all zeros) and negative leading terms
+product_factors = st.lists(rationals | st.just(F(0)), max_size=7).map(P)
+
+
+@given(product_factors, product_factors)
+@settings(max_examples=200, deadline=None)
+def test_mul_matches_schoolbook_fraction_convolution(p, q):
+    product = p * q
+    assert product.coeffs == tuple(_schoolbook_product(p, q))
+    assert all(type(c) is F for c in product.coeffs)
 
 
 @given(polys)
