@@ -44,12 +44,12 @@ from .polynomial import Polynomial, Scalar, _coerce
 from .stability import (
     STRICTLY_STABLE,
     WEAKLY_STABLE,
-    cauchy_root_bound,
-    count_real_roots,
+    _index,
     hermite_biehler_weakly_stable,
     interlaces,
     is_real_rooted,
     is_strictly_hurwitz_stable,
+    sturm_chain,
 )
 
 _X = Polynomial.x()
@@ -402,9 +402,10 @@ def scan_distinct_roots(n: int, ks: Sequence[Scalar]) -> VerificationReport:
     """Per-k check that A_{n-1} + k*x*A_{n-3} has all distinct real zeros
     exactly when k is in the conjectured region.
 
-    "All distinct real zeros" is decided as a Sturm count of deg(p) distinct
-    real roots inside the Cauchy bound.  Boundary values of k are recorded as
-    observations without a pass/fail judgment.
+    "All distinct real zeros" is decided on the Sturm chain of p: its Cauchy
+    index Ind(p'/p) counts the distinct real roots and must reach deg(p).
+    Boundary values of k are recorded as observations without a pass/fail
+    judgment.
     """
     if n < 4:
         raise ValueError("the distinct-roots scan needs n >= 4")
@@ -418,8 +419,7 @@ def scan_distinct_roots(n: int, ks: Sequence[Scalar]) -> VerificationReport:
     for raw in ks:
         k = _coerce(raw)
         p = eulerian_a(n - 1) + k * _X * eulerian_a(n - 3)
-        bound = cauchy_root_bound(p)
-        distinct_real = count_real_roots(p, -bound, bound) == p.degree
+        distinct_real = _index(sturm_chain(p).rows) == p.degree
         if k == left or k == right:
             report.observations.append(
                 f"n={n} boundary k={k}: all-distinct-real-roots={distinct_real}"

@@ -6,28 +6,29 @@ Every decision in this module is made in exact rational arithmetic:
   integer rows, count distinct real roots in an interval by sign-variation
   differences.  Every sign decision in this module, exact-zero tests
   included, is made on primitive integer rows.
+* The Cauchy index Ind(g/f) over the reals is V(-inf) - V(+inf) on the
+  signed remainder sequence (f, g, -rem(f, g), ...), read from the signs of
+  the leading coefficients and the parities of the degrees alone (Basu,
+  Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2).  With h
+  the last row, gcd(f, g), it reaches deg f - deg h exactly when f/h has
+  simple real roots only and g/f has a positive residue at each.  So p is
+  real-rooted iff Ind(p'/p) = deg p - deg gcd(p, p'), and real-rooted g
+  weakly interlaces real-rooted f (positive leading coefficients) iff
+  Ind(g/f) = deg f - deg h: a shared real root joins or leaves both root
+  lists without breaking the alternation.
 * Yun's algorithm produces the squarefree decomposition, so repeated roots
   carry exact multiplicities.
 * Real roots are isolated into disjoint open rational intervals or exact
-  rational points by one recursive bisection.  Its first splits are the
-  power-of-two magnitude brackets between the Cauchy bounds (root
-  magnitudes of the polynomials handled here span many orders, so plain
-  midpoint bisection from the bound would waste dozens of Sturm evaluations
-  per root); inside one octave it splits at midpoints.  The Sturm variation
-  counts at an interval's endpoints travel down the recursion, so no point
-  is evaluated twice.  An interval that holds one simple root is refined by
-  the sign change alone, with no Sturm count.  The roots come back as one
-  list of pairs (lo, hi), an exact point being lo == hi.
-* Several polynomials are located together: the squarefree part of their
-  product is isolated once, and each root's multiplicity in each input is
-  attributed by the signs of its Yun factors: a factor owns the root iff it
-  vanishes at lo or changes sign between lo and hi (exact, since an
-  interval holds one simple root and its endpoints are not roots), so no
-  per-factor Sturm chain is built.
-* Interlacing of two real-rooted polynomials is decided by one running
-  count over their exactly ordered joint roots, taken from the top: f's
-  roots minus g's roots must stay in {0, 1}.  Shared roots are legal
-  because the alternation uses weak inequalities.
+  rational points by one recursive bisection of the product of the Yun
+  factors.  Its first splits are the power-of-two magnitude brackets
+  between the Cauchy bounds (root magnitudes of the polynomials handled
+  here span many orders, so plain midpoint bisection from the bound would
+  waste dozens of Sturm evaluations per root); inside one octave it splits
+  at midpoints.  The Sturm variation counts at an interval's endpoints
+  travel down the recursion, so no point is evaluated twice.  An interval
+  that holds one simple root is refined by the sign change alone, with no
+  Sturm count.  A Yun factor owns a root iff it vanishes at lo or changes
+  sign between lo and hi.
 * Weak Hurwitz stability is decided by the even/odd interlacing criterion:
   p is weakly stable iff its even and odd parts are real-rooted with only
   nonpositive zeros and the odd part interlaces the even part (with a
@@ -37,16 +38,19 @@ Every decision in this module is made in exact rational arithmetic:
   determinants, computed fraction-free (Bareiss) after clearing
   denominators.
 
-Division of labor: weak stability always goes through the even/odd
-interlacing route (imaginary-axis zeros are handled exactly there); strict
-stability always goes through the determinants.
+Division of labor: real-rootedness and interlacing, the interlacing step of
+weak stability included, are decided by the index of one remainder
+sequence.  Root isolation serves output and evidence only: the weak-stability
+certificate isolates each part for its evidence fields and reads the parts'
+real-rootedness and root signs off them.  Strict stability always goes
+through the determinants.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .polynomial import (
     Polynomial,
@@ -126,12 +130,16 @@ def count_real_roots(p: Polynomial, lo: Scalar, hi: Scalar) -> int:
     return sturm_chain(p).count(lo, hi)
 
 
-def cauchy_root_bound(p: Polynomial) -> Fraction:
-    """Strict bound: every root z of p satisfies |z| < the returned value."""
-    if p.is_zero or p.degree < 1:
-        raise ValueError("root bound requires a nonconstant polynomial")
-    lead = abs(p.leading_coefficient)
-    return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
+def _index(rows: Sequence[Sequence[int]]) -> int:
+    """V(-inf) - V(+inf) of nonzero integer rows (lowest degree first): the
+    Cauchy index Ind(rows[1] / rows[0]) when rows is their signed remainder
+    sequence.  At +inf a row has the sign of its leading coefficient, at
+    -inf that sign flipped for odd degree."""
+
+    def var(signs: List[bool]) -> int:
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return var([(r[-1] > 0) == (len(r) % 2 == 1) for r in rows]) - var([r[-1] > 0 for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -295,48 +303,30 @@ def _isolate_squarefree(s: Polynomial, width: Optional[_Width]) -> List[Tuple[Fr
     return roots
 
 
-# One distinct real root of the product of some polynomials: an exact point
-# (lo == hi) or an isolating open interval, with its multiplicity in each.
-class _Location(NamedTuple):
-    lo: Fraction
-    hi: Fraction
-    mults: Tuple[int, ...]
+def _locate(p: Polynomial, width: Optional[_Width]) -> RootIsolation:
+    """The real roots of p, sorted, with their multiplicities.
 
-
-def _locate(polys: Sequence[Polynomial], width: Optional[_Width]) -> List[_Location]:
-    """Distinct real roots of all of polys, exactly ordered, with their
-    multiplicity in each polynomial.
-
-    The squarefree part w of the product, the monic lcm of all Yun factors,
-    is isolated once, so a shared root lands in one location.  Its roots
-    come back as one list of pairs (a, b), exact points with a == b, and a
-    Yun factor of an input owns a root iff it vanishes at a or changes sign
-    between a and b.
+    The Yun factors of p are pairwise coprime, so their product is
+    squarefree and is isolated once; a factor owns a root (a, b), an exact
+    point when a == b, iff it vanishes at a or changes sign between a and b.
     """
-    decomps = [squarefree_decompose(p) for p in polys]
+    factors = squarefree_decompose(p)
     w = Polynomial.one()
-    for factors in decomps:
-        for q, _ in factors:
-            w = (w * q).exact_div(poly_gcd(w, q))
-    rows = [[(primitive_integer_coeffs(q), m) for q, m in factors] for factors in decomps]
+    for q, _ in factors:
+        w = w * q
+    rows = [(primitive_integer_coeffs(q), m) for q, m in factors]
 
     def owns(row: Tuple[int, ...], a: Fraction, b: Fraction) -> bool:
         sa = _sign_at(row, a)
         return not sa or (a < b and sa != _sign_at(row, b))
 
-    locs = []
-    for a, b in _isolate_squarefree(w, width):
-        mults = tuple(sum(m for row, m in factors if owns(row, a, b)) for factors in rows)
-        if not any(mults):
+    roots = []
+    for a, b in sorted(_isolate_squarefree(w, width)):
+        mult = sum(m for row, m in rows if owns(row, a, b))
+        if not mult:
             raise RuntimeError("internal error: isolated root matches no factor")
-        locs.append(_Location(a, b, mults))
-    locs.sort()
-    return locs
-
-
-def _isolation_from_locations(locs: Sequence[_Location], i: int) -> RootIsolation:
-    """The roots of the i-th located polynomial."""
-    return RootIsolation(tuple(IsolatedRoot(l.lo, l.hi, l.mults[i]) for l in locs if l.mults[i]))
+        roots.append(IsolatedRoot(a, b, mult))
+    return RootIsolation(tuple(roots))
 
 
 def isolate_real_roots(
@@ -345,15 +335,14 @@ def isolate_real_roots(
     """Isolate the real roots of p with multiplicities.
 
     min_width=None skips width refinement and stops as soon as the
-    locations are pairwise isolating (cheapest option for ordering work);
-    otherwise it must be a positive int or Fraction.
+    locations are pairwise isolating; otherwise it must be a positive int or
+    Fraction.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("root isolation requires a nonconstant polynomial")
     if min_width is not None and _coerce(min_width) <= 0:
         raise ValueError(f"min_width must be positive or None, got {min_width}")
-    width = None if min_width is None else lambda a, b: min_width
-    return _isolation_from_locations(_locate([p], width), 0)
+    return _locate(p, None if min_width is None else lambda a, b: min_width)
 
 
 def approximate_real_roots(p: Polynomial, digits: int = 20) -> List[Tuple[Fraction, int]]:
@@ -368,42 +357,35 @@ def approximate_real_roots(p: Polynomial, digits: int = 20) -> List[Tuple[Fracti
     if digits < 1:
         raise ValueError(f"digits must be at least 1, got {digits}")
     rel = Fraction(1, 10 ** (digits + 1))
-    locs = _locate([p], lambda a, b: max(abs(a), abs(b)) * rel)
-    return [((l.lo + l.hi) / 2, l.mults[0]) for l in locs]
+    iso = _locate(p, lambda a, b: max(abs(a), abs(b)) * rel)
+    return [(r.midpoint, r.multiplicity) for r in iso]
 
 
 def is_real_rooted(p: Polynomial) -> bool:
     """True iff every complex root of p is real.
 
     Decided on one Sturm chain of p: it ends at gcd(p, p'), so p has
-    p.degree - deg(gcd) distinct roots, and they are all real iff the Sturm
-    count inside the Cauchy bound equals that number.
+    p.degree - deg(gcd) distinct roots, and they are all real iff the
+    Cauchy index Ind(p'/p), which counts the distinct real roots, equals
+    that number.
     """
     if p.is_zero:
         raise ValueError("real-rootedness is undefined for the zero polynomial")
     if p.degree < 1:
         return True
-    bound = cauchy_root_bound(p)
-    chain = sturm_chain(p)
-    return chain.count(-bound, bound) == p.degree - chain.polys[-1].degree
+    rows = sturm_chain(p).rows
+    return _index(rows) == len(rows[0]) - len(rows[-1])
 
 
 # ---------------------------------------------------------------------------
-# joint root ordering and interlacing
+# interlacing
 
 
-def _alternation_holds(locs: Sequence[_Location]) -> bool:
-    """Weak alternation r_1 >= s_1 >= r_2 >= s_2 >= ... where the r_i are
-    f's roots and the s_i are g's roots, both descending with multiplicity,
-    and deg(g) in {deg(f) - 1, deg(f)}: from the top, f's roots minus g's
-    roots must stay in {0, 1} after each location (roots sharing a location
-    can be ordered freely)."""
-    ahead = 0
-    for _, _, (f_mult, g_mult) in reversed(locs):
-        ahead += f_mult - g_mult
-        if ahead not in (0, 1):
-            return False
-    return True
+def _index_interlaces(g: Polynomial, f: Polynomial) -> bool:
+    """Whether real-rooted g weakly interlaces real-rooted f, both with
+    positive leading coefficients: Ind(g/f) = deg f - deg gcd(f, g)."""
+    rows = _remainder_rows(f, g)
+    return _index(rows) == len(rows[0]) - len(rows[-1])
 
 
 def interlaces(g: Polynomial, f: Polynomial) -> bool:
@@ -420,12 +402,9 @@ def interlaces(g: Polynomial, f: Polynomial) -> bool:
         raise ValueError("interlacing requires positive leading coefficients")
     if g.degree not in (f.degree - 1, f.degree):
         raise ValueError("degree of g must be deg(f) or deg(f) - 1")
-    locs = _locate([f, g], None)
-    # Each real root lands in one location, so the totals reach the degrees
-    # exactly when f and g are real-rooted.
-    if sum(l.mults[0] for l in locs) != f.degree or sum(l.mults[1] for l in locs) != g.degree:
+    if not (is_real_rooted(f) and is_real_rooted(g)):
         raise ValueError("interlacing requires real-rooted polynomials")
-    return _alternation_holds(locs)
+    return _index_interlaces(g, f)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +452,7 @@ def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
 
     if even.is_zero or odd.is_zero:
         part = even if odd.is_zero else odd
-        iso = _isolation_from_locations(_locate([part], None), 0)
+        iso = _locate(part, None)
         ok = iso.total_multiplicity == part.degree and all(r.hi <= 0 for r in iso)
         if odd.is_zero:
             ev = HermiteBiehlerEvidence(iso, None, None, "degenerate split: odd part vanishes")
@@ -481,9 +460,7 @@ def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
             ev = HermiteBiehlerEvidence(None, iso, None, "degenerate split: even part vanishes")
         return StabilityCertificate(WEAKLY_STABLE if ok else UNSTABLE, ev)
 
-    locs = _locate([even, odd], None)
-    even_iso = _isolation_from_locations(locs, 0)
-    odd_iso = _isolation_from_locations(locs, 1)
+    even_iso, odd_iso = _locate(even, None), _locate(odd, None)
 
     problems = []
     if even.leading_coefficient <= 0 or odd.leading_coefficient <= 0:
@@ -499,7 +476,7 @@ def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
 
     interlacing: Optional[bool] = None
     if not problems:
-        interlacing = _alternation_holds(locs)
+        interlacing = _index_interlaces(odd, even)
         if not interlacing:
             problems.append("odd part does not interlace the even part")
 

@@ -12,6 +12,7 @@ from eulerstab.polynomial import Polynomial, poly_gcd
 from eulerstab.stability import (
     approximate_real_roots,
     count_real_roots,
+    interlaces,
     is_real_rooted,
     isolate_real_roots,
     squarefree_decompose,
@@ -140,6 +141,44 @@ def test_squarefree_decompose_matches_sympy(p):
         (tuple(_to_fraction(c) for c in reversed(q.monic().all_coeffs())), m) for q, m in factors
     }
     assert {(q.coeffs, m) for q, m in squarefree_decompose(p)} == expected
+
+
+# real-rooted factors only: rational roots and real irrational pairs
+_real_quadratic = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(
+    lambda bc: _irreducible(bc) and bc[0] ** 2 > 4 * bc[1]
+).map(lambda bc: P([bc[1], bc[0], 1]))
+_real_powers = st.tuples(st.one_of(_linear, _real_quadratic), st.integers(1, 2))
+
+
+@st.composite
+def _interlacing_candidates(draw):
+    """(g, f): real-rooted, positive leading coefficients, deg g in
+    {deg f - 1, deg f}, sharing a factor such as x^2 - 2."""
+    common = draw(st.just(P([-2, 0, 1])) | _products(_real_powers))
+    f, g = (common * draw(_products(_real_powers)) for _ in range(2))
+    if g.degree > f.degree:
+        f, g = g, f
+    target = draw(st.sampled_from([f.degree - 1, f.degree]))
+    while g.degree < target:
+        g = g * draw(_linear)
+    return tuple(q if q.leading_coefficient > 0 else -q for q in (g, f))
+
+
+def _weakly_alternate(f, g) -> bool:
+    """r_1 >= s_1 >= r_2 >= s_2 >= ... on sympy's exact real roots, r of f
+    and s of g, each descending with multiplicity."""
+    r = sympy.real_roots(_to_sympy(f))[::-1]
+    s = sympy.real_roots(_to_sympy(g))[::-1]
+    return all(bool(a >= b) for a, b in zip(r, s)) and all(bool(b >= a) for a, b in zip(r[1:], s))
+
+
+@given(_interlacing_candidates())
+@settings(max_examples=60, deadline=None)
+def test_interlaces_matches_sympy_root_order(pair):
+    g, f = pair
+    assert interlaces(g, f) == _weakly_alternate(f, g)
+    if g.degree == f.degree:
+        assert interlaces(f, g) == _weakly_alternate(g, f)
 
 
 @given(_any_products)

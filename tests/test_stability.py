@@ -17,7 +17,6 @@ from eulerstab.stability import (
     UNSTABLE,
     WEAKLY_STABLE,
     approximate_real_roots,
-    cauchy_root_bound,
     count_real_roots,
     hermite_biehler_weakly_stable,
     hurwitz_determinants,
@@ -262,12 +261,6 @@ def test_isolation_skips_root_free_side(monkeypatch):
     assert {x for x in seen if x < 0} <= {F(-(2**22)), F(-1, 2)}
 
 
-def test_cauchy_bound_contains_all_real_roots():
-    for p in (P([1, 4, 1]), eulerian_a(6), affine_b(5)):
-        bound = cauchy_root_bound(p)
-        assert count_real_roots(p, -bound, bound) == len(isolate_real_roots(p))
-
-
 # ---------------------------------------------------------------------------
 # real-rootedness
 
@@ -456,6 +449,33 @@ def test_sign_decisions_never_evaluate_fractions(monkeypatch):
         count_real_roots(p, -1, 2)
 
 
+def test_decisions_never_isolate_roots(monkeypatch):
+    # Real-rootedness and interlacing come from the Cauchy index of one
+    # remainder sequence; root isolation only produces output and evidence.
+    from eulerstab import lab
+
+    shared = P([1, 1]) * P([-2, 0, 1])  # a rational and two irrational roots
+    # The weak-stability certificate isolates each part for its evidence
+    # fields, so the padded source's certificate is built before the spy.
+    cert = hermite_biehler_weakly_stable(padded_stability_source(6))
+    assert cert.verdict == WEAKLY_STABLE
+
+    def refuse(s, width):
+        raise AssertionError("a decision went through root isolation")
+
+    monkeypatch.setattr(stability, "_isolate_squarefree", refuse)
+    monkeypatch.setattr(lab, "hermite_biehler_weakly_stable", lambda p: cert)
+    assert interlaces(shared * P([3, 1]), shared * P([1, 2]))
+    assert not interlaces(P([20, 1]) * P([30, 1]), P([1, 1]) * P([10, 1]))
+    with pytest.raises(ValueError, match="real-rooted"):
+        interlaces(P([1, 0, 1]), P([1, 2, 1, 1]))
+    assert is_real_rooted(shared**2) and not is_real_rooted(shared * P([1, 0, 1]))
+    for report in (lab.verify_d_affine_b(6), lab.verify_half_reciprocal(6)):
+        assert report.status == "pass" and report.checks_run >= 4
+    scan = lab.scan_distinct_roots(6, lab.default_distinct_grid(6))
+    assert scan.status == "pass" and scan.checks_run == 24
+
+
 # ---------------------------------------------------------------------------
 # multiplicity attribution against independent references
 
@@ -471,7 +491,8 @@ def test_isolation_multiplicities_match_sturm_counts(factor_powers):
     for q, m in factor_powers:
         p = p * q**m
     yun = squarefree_decompose(p)
-    real = sum(m * count_real_roots(q, -cauchy_root_bound(q), cauchy_root_bound(q)) for q, m in yun)
+    # the Cauchy index Ind(q'/q) of a chain counts q's distinct real roots
+    real = sum(m * stability._index(sturm_chain(q).rows) for q, m in yun)
     for min_width in (F(1, 256), None):
         iso = isolate_real_roots(p, min_width)
         assert iso.total_multiplicity == real
