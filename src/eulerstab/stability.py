@@ -16,19 +16,21 @@ Every decision in this module is made in exact rational arithmetic:
   weakly interlaces real-rooted f (positive leading coefficients) iff
   Ind(g/f) = deg f - deg h: a shared real root joins or leaves both root
   lists without breaking the alternation.
-* Yun's algorithm produces the squarefree decomposition, so repeated roots
-  carry exact multiplicities.
-* Real roots are isolated into disjoint open rational intervals or exact
-  rational points by one recursive bisection of the product of the Yun
-  factors.  Its first splits are the power-of-two magnitude brackets
-  between the Cauchy bounds (root magnitudes of the polynomials handled
-  here span many orders, so plain midpoint bisection from the bound would
-  waste dozens of Sturm evaluations per root); inside one octave it splits
-  at midpoints.  The Sturm variation counts at an interval's endpoints
-  travel down the recursion, so no point is evaluated twice.  An interval
-  that holds one simple root is refined by the sign change alone, with no
-  Sturm count.  A Yun factor owns a root iff it vanishes at lo or changes
-  sign between lo and hi.
+* Real roots are isolated, with exact multiplicities, into disjoint open
+  rational intervals or exact rational points.  The root at 0 is split off
+  with the multiplicity of the leading zero coefficients, and one recursive
+  bisection isolates the rest, f: f's own Sturm chain counts its distinct
+  roots, and the squarefree quotient f / gcd(f, f') gives every sign.  Its
+  first splits are the power-of-two magnitude brackets between the Cauchy
+  bounds (root magnitudes of the polynomials handled here span many orders,
+  so plain midpoint bisection from the bound would waste dozens of Sturm
+  evaluations per root); inside one octave it splits at midpoints.  The
+  Sturm variation counts at an interval's endpoints travel down the
+  recursion, so no point is evaluated twice.  An interval that holds one
+  simple root is refined by the sign change alone, with no Sturm count.
+  Yun's algorithm, started from the chain's last row gcd(f, f'), gives f's
+  squarefree decomposition; a factor owns a root iff it vanishes at lo or
+  changes sign between lo and hi.
 * Weak Hurwitz stability is decided by the even/odd interlacing criterion:
   p is weakly stable iff its even and odd parts are real-rooted with only
   nonpositive zeros and the odd part interlaces the even part (with a
@@ -39,11 +41,11 @@ Every decision in this module is made in exact rational arithmetic:
   denominators.
 
 Division of labor: real-rootedness and interlacing, the interlacing step of
-weak stability included, are decided by the index of one remainder
-sequence.  Root isolation serves output and evidence only: the weak-stability
-certificate isolates each part for its evidence fields and reads the parts'
-real-rootedness and root signs off them.  Strict stability always goes
-through the determinants.
+weak stability included, are decided by the index of one remainder sequence.
+Root isolation, on one Sturm chain per polynomial, serves output and
+evidence only: the weak-stability certificate isolates each part for its
+evidence fields and reads the parts' real-rootedness and root signs off
+them.  Strict stability always goes through the determinants.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ WEAKLY_STABLE = "weakly_stable"
 STRICTLY_STABLE = "strictly_stable"
 UNSTABLE = "unstable"
 
-_X = Polynomial.x()
 _ZERO = Fraction(0)
 
 
@@ -148,17 +149,18 @@ def _index(rows: Sequence[Sequence[int]]) -> int:
 
 def squarefree_decompose(p: Polynomial) -> Tuple[Tuple[Polynomial, int], ...]:
     """Yun decomposition p = lc * prod(q_i^(m_i)) with q_i monic, squarefree,
-    pairwise coprime.  Constants decompose into the empty product."""
+    pairwise coprime; constants decompose into the empty product.  Isolation
+    runs the same steps from its Sturm chain's last row, not through here."""
     if p.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
-    f = p.monic()
-    if f.degree == 0:
-        return ()
-    d = f.derivative()
-    a = poly_gcd(f, d)
-    b = f.exact_div(a)
-    c = d.exact_div(a)
-    w = c - b.derivative()
+    return _yun(p, poly_gcd(p, p.derivative()))[1]
+
+
+def _yun(f: Polynomial, a: Polynomial) -> Tuple[Polynomial, Tuple[Tuple[Polynomial, int], ...]]:
+    """Yun's algorithm on nonzero f, given a = gcd(f, f') up to a nonzero
+    scale: the squarefree quotient f / a and the decomposition's factors."""
+    s = b = f.exact_div(a)
+    w = f.derivative().exact_div(a) - b.derivative()
     out: List[Tuple[Polynomial, int]] = []
     i = 1
     while b.degree > 0:
@@ -166,10 +168,9 @@ def squarefree_decompose(p: Polynomial) -> Tuple[Tuple[Polynomial, int], ...]:
         if g.degree > 0:
             out.append((g, i))
         b = b.exact_div(g)
-        c = w.exact_div(g)
-        w = c - b.derivative()
+        w = w.exact_div(g) - b.derivative()
         i += 1
-    return tuple(out)
+    return s, tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +217,21 @@ class RootIsolation:
 _Width = Callable[[Fraction, Fraction], Fraction]
 
 
-def _isolate_squarefree(s: Polynomial, width: Optional[_Width]) -> List[Tuple[Fraction, Fraction]]:
-    """Isolate all real roots of a squarefree polynomial.
+def _isolate_squarefree(
+    chain: SturmChain, row: Sequence[int], width: Optional[_Width]
+) -> List[Tuple[Fraction, Fraction]]:
+    """Isolate the real roots of nonconstant f: its Sturm chain counts the
+    distinct roots, and row, f's squarefree quotient with a nonzero constant
+    term, gives every sign and bound.
 
-    Returns one list of roots: a pair (r, r) for an exact rational root found
-    along the way, else an open interval (a, b) holding exactly one root.
-    When width is given, each interval is refined until b - a <= width(a, b)
-    (unless the root is found exactly first).  No interval endpoint is a root
-    of s: each one passes an exact nonzero test, and 0 is never an endpoint.
-    The Sturm variation counts at an interval's endpoints travel down the
-    recursion with it, so no point is evaluated twice.
+    Returns a pair (r, r) for each exact rational root found along the way,
+    else an open interval (a, b) holding exactly one root.  When width is
+    given, each interval is refined until b - a <= width(a, b) (unless the
+    root is found exactly first).  No endpoint is a root: each one passes an
+    exact nonzero test, and 0 is never one.  An interval's endpoint variation
+    counts travel down the recursion, so no point is evaluated twice.
     """
     roots: List[Tuple[Fraction, Fraction]] = []
-    if s.constant_term == 0:
-        roots.append((_ZERO, _ZERO))
-        s = s.exact_div(_X)
-    if s.degree < 1:
-        return roots
-
-    chain = sturm_chain(s)
-    row = chain.rows[0]
     var = chain.variations
 
     # Every root satisfies 2^-elo < |root| < 2^ehi, where 2^ehi is the least
@@ -304,29 +300,31 @@ def _isolate_squarefree(s: Polynomial, width: Optional[_Width]) -> List[Tuple[Fr
 
 
 def _locate(p: Polynomial, width: Optional[_Width]) -> RootIsolation:
-    """The real roots of p, sorted, with their multiplicities.
+    """The real roots of nonzero p, sorted, with their multiplicities.
 
-    The Yun factors of p are pairwise coprime, so their product is
-    squarefree and is isolated once; a factor owns a root (a, b), an exact
-    point when a == b, iff it vanishes at a or changes sign between a and b.
+    The root at 0 takes the multiplicity of p's leading zero coefficients.
+    The rest, f, is isolated on its Sturm chain, whose last row gcd(f, f')
+    starts Yun's algorithm; a Yun factor owns a root (a, b), an exact point
+    when a == b, iff it vanishes at a or changes sign between a and b.
     """
-    factors = squarefree_decompose(p)
-    w = Polynomial.one()
-    for q, _ in factors:
-        w = w * q
-    rows = [(primitive_integer_coeffs(q), m) for q, m in factors]
+    z = next(i for i, c in enumerate(p.coeffs) if c)
+    f = Polynomial(p.coeffs[z:])
+    located = [(_ZERO, _ZERO, z)] if z else []
+    if f.degree > 0:
+        chain = sturm_chain(f)
+        s, factors = _yun(f, chain.polys[-1])
+        rows = [(primitive_integer_coeffs(q), m) for q, m in factors]
 
-    def owns(row: Tuple[int, ...], a: Fraction, b: Fraction) -> bool:
-        sa = _sign_at(row, a)
-        return not sa or (a < b and sa != _sign_at(row, b))
+        def owns(row: Tuple[int, ...], a: Fraction, b: Fraction) -> bool:
+            sa = _sign_at(row, a)
+            return not sa or (a < b and sa != _sign_at(row, b))
 
-    roots = []
-    for a, b in sorted(_isolate_squarefree(w, width)):
-        mult = sum(m for row, m in rows if owns(row, a, b))
-        if not mult:
-            raise RuntimeError("internal error: isolated root matches no factor")
-        roots.append(IsolatedRoot(a, b, mult))
-    return RootIsolation(tuple(roots))
+        for a, b in _isolate_squarefree(chain, primitive_integer_coeffs(s), width):
+            mult = sum(m for row, m in rows if owns(row, a, b))
+            if not mult:
+                raise RuntimeError("internal error: isolated root matches no factor")
+            located.append((a, b, mult))
+    return RootIsolation(tuple(IsolatedRoot(*r) for r in sorted(located)))
 
 
 def isolate_real_roots(

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eulerstab.polynomial import Polynomial, poly_gcd
@@ -14,12 +14,15 @@ from eulerstab.stability import (
     count_real_roots,
     interlaces,
     is_real_rooted,
+    is_strictly_hurwitz_stable,
     isolate_real_roots,
     squarefree_decompose,
     sturm_chain,
 )
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.domains import QQ  # noqa: E402
+from sympy.polys.rootisolation import dup_count_complex_roots  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sturm_q  # noqa: E402
 
 P = Polynomial
@@ -212,3 +215,32 @@ def test_approximate_roots_carry_twenty_digits(p):
         a, b = _to_fraction(a), _to_fraction(b)
         assert mult == m
         assert max(abs(mid - a), abs(mid - b)) <= min(abs(a), abs(b)) / 10**20
+
+
+# No zero on the imaginary axis: x - r with r != 0, and x^2 + b x + c with
+# b != 0 (complex roots have real part -b/2) and c != 0 (no root at 0).
+_off_axis_powers = st.tuples(
+    st.one_of(
+        _rationals.filter(bool).map(lambda r: P([-r, 1])),
+        st.tuples(st.integers(-6, 6).filter(bool), st.integers(-6, 6).filter(bool)).map(
+            lambda bc: P([bc[1], bc[0], 1])
+        ),
+    ),
+    st.integers(1, 3),
+)
+
+
+@given(_products(_off_axis_powers))
+@example(P([4, -1, 1]) * P([3, 1]) ** 2)  # positive coefficients, two roots with Re > 0
+@settings(max_examples=60, deadline=None)
+def test_strict_stability_matches_sympy_left_half_plane_count(p):
+    # Every root lies in the open square |Re|, |Im| < B (the Cauchy bound) and
+    # off the imaginary axis, so p is strictly stable iff the rectangle
+    # [-B, 0] x [-B, B] holds all deg p roots, counted with multiplicity.
+    if p.leading_coefficient < 0:
+        p = -p
+    B = 1 + max(abs(c / p.leading_coefficient) for c in p.coeffs[:-1])
+    B = QQ(B.numerator, B.denominator)
+    f = [QQ(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    inside = dup_count_complex_roots(f, QQ, inf=(-B, -B), sup=(QQ(0), B))
+    assert (is_strictly_hurwitz_stable(p).verdict == "strictly_stable") == (inside == p.degree)

@@ -148,6 +148,12 @@ def test_isolate_repeated_rational_root():
 def test_isolate_rational_roots():
     iso = isolate_real_roots(X * P([3, 1]))
     assert [(r.lo, r.hi, r.multiplicity) for r in iso] == [(-3, -3, 1), (0, 0, 1)]
+    # the root at 0, split off with its multiplicity, sorts between +-sqrt(2)
+    for k in (1, 2, 3):
+        iso = isolate_real_roots(F(-3, 2) * X**k * P([3, 1]) * P([-2, 0, 1]))
+        shape = [(r.is_point, r.multiplicity) for r in iso]
+        assert shape == [(True, 1), (False, 1), (True, k), (False, 1)]
+        assert [r.lo for r in iso if r.is_point] == [-3, 0]
 
 
 def test_isolate_no_real_roots():
@@ -242,6 +248,29 @@ def test_isolation_evaluates_each_point_once(monkeypatch):
             run(p)
             assert seen and len(set(seen)) == len(seen)
     assert [r.lo for r in isolate_real_roots(hugged) if r.is_point] == [-1, 3]
+
+
+def test_isolation_builds_one_remainder_sequence(monkeypatch):
+    # The Sturm chain that the bisection counts on ends at gcd(f, f'), which
+    # Yun's algorithm starts from, and the root at 0 is split off first, so
+    # locating a squarefree polynomial builds one remainder sequence of two
+    # nonzero inputs (Yun's own gcd(b, w) then has w = 0).
+    from eulerstab import polynomial
+
+    calls = []
+    remainder_rows = polynomial._remainder_rows
+
+    def spy(p, q):
+        if not q.is_zero:
+            calls.append(p)
+        return remainder_rows(p, q)
+
+    monkeypatch.setattr(stability, "_remainder_rows", spy)
+    monkeypatch.setattr(polynomial, "_remainder_rows", spy)
+    for p in (eulerian_d(8), X * eulerian_d(8)):
+        calls.clear()
+        isolate_real_roots(p)
+        assert len(calls) == 1
 
 
 def test_isolation_skips_root_free_side(monkeypatch):
@@ -460,7 +489,7 @@ def test_decisions_never_isolate_roots(monkeypatch):
     cert = hermite_biehler_weakly_stable(padded_stability_source(6))
     assert cert.verdict == WEAKLY_STABLE
 
-    def refuse(s, width):
+    def refuse(*args):
         raise AssertionError("a decision went through root isolation")
 
     monkeypatch.setattr(stability, "_isolate_squarefree", refuse)
