@@ -28,9 +28,9 @@ Every decision in this module is made in exact rational arithmetic:
   Sturm variation counts at an interval's endpoints travel down the
   recursion, so no point is evaluated twice.  An interval that holds one
   simple root is refined by the sign change alone, with no Sturm count.
-  Yun's algorithm, started from the chain's last row gcd(f, f'), gives f's
-  squarefree decomposition; a factor owns a root iff it vanishes at lo or
-  changes sign between lo and hi.
+  Multiplicities come from the gcd tower a_1 = gcd(f, f'), the chain's last
+  row, a_{i+1} = gcd(a_i, a_i') (Musser 1971): a root of multiplicity m is
+  a simple root of a_{m-1} (a_0 = f / a_1) and no root of a_m.
 * Weak Hurwitz stability is decided by the even/odd interlacing criterion:
   p is weakly stable iff its even and odd parts are real-rooted with only
   nonpositive zeros and the odd part interlaces the even part (with a
@@ -42,8 +42,8 @@ Every decision in this module is made in exact rational arithmetic:
 
 Division of labor: real-rootedness and interlacing, the interlacing step of
 weak stability included, are decided by the index of one remainder sequence.
-Root isolation, on one Sturm chain per polynomial, serves output and
-evidence only: the weak-stability certificate isolates each part for its
+Root isolation, on one Sturm chain and its gcd tower per polynomial, serves
+output and the weak-stability certificate, which isolates each part for its
 evidence fields and reads the parts' real-rootedness and root signs off
 them.  Strict stability always goes through the determinants.
 """
@@ -59,7 +59,6 @@ from .polynomial import (
     Scalar,
     _coerce,
     _remainder_rows,
-    poly_gcd,
     primitive_integer_coeffs,
 )
 
@@ -147,30 +146,29 @@ def _index(rows: Sequence[Sequence[int]]) -> int:
 # squarefree structure
 
 
+def _gcd_tower(a: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """The primitive integer rows a_1 = a, a_{i+1} = gcd(a_i, a_i'), ...
+    ending at a constant, given a = gcd(f, f') of some f.  A root of f of
+    multiplicity m is a root of multiplicity m - i of a_i for i < m and no
+    root of a_m (Musser 1971)."""
+    tower = [a]
+    while len(tower[-1]) > 1:
+        a = Polynomial(tower[-1])
+        tower.append(_remainder_rows(a, a.derivative())[-1])
+    return tower
+
+
 def squarefree_decompose(p: Polynomial) -> Tuple[Tuple[Polynomial, int], ...]:
-    """Yun decomposition p = lc * prod(q_i^(m_i)) with q_i monic, squarefree,
-    pairwise coprime; constants decompose into the empty product.  Isolation
-    runs the same steps from its Sturm chain's last row, not through here."""
+    """Decomposition p = lc * prod(q_i^(m_i)) with q_i monic, squarefree,
+    pairwise coprime; constants decompose into the empty product.  Read off
+    the gcd tower by Musser's rule: with a_0 = p, b_i = a_{i-1} / a_i has the
+    roots of multiplicity >= i, and q_i = b_i / b_{i+1} those of exactly i."""
     if p.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
-    return _yun(p, poly_gcd(p, p.derivative()))[1]
-
-
-def _yun(f: Polynomial, a: Polynomial) -> Tuple[Polynomial, Tuple[Tuple[Polynomial, int], ...]]:
-    """Yun's algorithm on nonzero f, given a = gcd(f, f') up to a nonzero
-    scale: the squarefree quotient f / a and the decomposition's factors."""
-    s = b = f.exact_div(a)
-    w = f.derivative().exact_div(a) - b.derivative()
-    out: List[Tuple[Polynomial, int]] = []
-    i = 1
-    while b.degree > 0:
-        g = poly_gcd(b, w)
-        if g.degree > 0:
-            out.append((g, i))
-        b = b.exact_div(g)
-        w = w.exact_div(g) - b.derivative()
-        i += 1
-    return s, tuple(out)
+    a = [p, *map(Polynomial, _gcd_tower(_remainder_rows(p, p.derivative())[-1]))]
+    b = [u.exact_div(v) for u, v in zip(a, a[1:])] + [Polynomial.one()]
+    q = [u.exact_div(v) for u, v in zip(b, b[1:])]
+    return tuple((qi.monic(), i) for i, qi in enumerate(q, 1) if qi.degree > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,27 +301,28 @@ def _locate(p: Polynomial, width: Optional[_Width]) -> RootIsolation:
     """The real roots of nonzero p, sorted, with their multiplicities.
 
     The root at 0 takes the multiplicity of p's leading zero coefficients.
-    The rest, f, is isolated on its Sturm chain, whose last row gcd(f, f')
-    starts Yun's algorithm; a Yun factor owns a root (a, b), an exact point
-    when a == b, iff it vanishes at a or changes sign between a and b.
+    The rest, f, is isolated on its Sturm chain.  Level 0 is f / gcd(f, f'),
+    and the levels above are the gcd tower from the chain's last row.  A row
+    owns a root (a, b), an exact point when a == b, iff it vanishes at a or
+    changes sign between a and b; a root's multiplicity is 1 + the highest
+    level owning it, and level 0 owns every root.
     """
     z = next(i for i, c in enumerate(p.coeffs) if c)
     f = Polynomial(p.coeffs[z:])
     located = [(_ZERO, _ZERO, z)] if z else []
     if f.degree > 0:
         chain = sturm_chain(f)
-        s, factors = _yun(f, chain.polys[-1])
-        rows = [(primitive_integer_coeffs(q), m) for q, m in factors]
+        levels = [primitive_integer_coeffs(f.exact_div(chain.polys[-1])), *_gcd_tower(chain.rows[-1])]
 
         def owns(row: Tuple[int, ...], a: Fraction, b: Fraction) -> bool:
             sa = _sign_at(row, a)
             return not sa or (a < b and sa != _sign_at(row, b))
 
-        for a, b in _isolate_squarefree(chain, primitive_integer_coeffs(s), width):
-            mult = sum(m for row, m in rows if owns(row, a, b))
-            if not mult:
+        for a, b in _isolate_squarefree(chain, levels[0], width):
+            owners = [i for i, row in enumerate(levels) if owns(row, a, b)]
+            if owners[:1] != [0]:
                 raise RuntimeError("internal error: isolated root matches no factor")
-            located.append((a, b, mult))
+            located.append((a, b, 1 + owners[-1]))
     return RootIsolation(tuple(IsolatedRoot(*r) for r in sorted(located)))
 
 

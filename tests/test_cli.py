@@ -300,14 +300,14 @@ def test_closed_pipe_exits_quietly():
     # after the header breaks the child's write.
     src = Path(__file__).resolve().parent.parent / "src"
     argv = ["gen", "--family", "A", "--n", "1", "--n-max", "80", "--format", "csv"]
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "eulerstab.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=str(src)),
-    )
-    assert proc.stdout.readline().startswith(b"family,n,degree,")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"family,n,degree,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
     assert b"Traceback" not in err

@@ -1,5 +1,6 @@
 """Sturm chains, root isolation, interlacing, and both stability criteria."""
 
+import itertools
 import random
 import signal
 from fractions import Fraction as F
@@ -113,16 +114,22 @@ def test_squarefree_examples():
 
 
 def test_squarefree_reconstruction():
+    from eulerstab.polynomial import poly_gcd
+
     rng = random.Random(7)
     for _ in range(20):
         p = P([rng.randint(1, 5)])
         for _ in range(rng.randint(1, 3)):
-            p = p * P([rng.randint(-3, 3), 1]) ** rng.randint(1, 3)
+            p = p * P([rng.randint(-3, 3), 1]) ** rng.randint(1, 5)
+        factors = squarefree_decompose(p)
         rebuilt = P([p.leading_coefficient])
-        for q, m in squarefree_decompose(p):
+        for q, m in factors:
             assert q.leading_coefficient == 1
+            assert poly_gcd(q, q.derivative()).degree == 0
             rebuilt = rebuilt * q**m
         assert rebuilt == p
+        for (q, m), (r, n) in itertools.combinations(factors, 2):
+            assert m < n and poly_gcd(q, r).degree == 0
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +161,14 @@ def test_isolate_rational_roots():
         shape = [(r.is_point, r.multiplicity) for r in iso]
         assert shape == [(True, 1), (False, 1), (True, k), (False, 1)]
         assert [r.lo for r in iso if r.is_point] == [-3, 0]
+    # a tall gcd tower: the roots +-sqrt(2) of multiplicity 3 are double
+    # roots of a_1 = gcd(f, f'), which keeps its sign across their intervals,
+    # and simple roots of a_2 = gcd(a_1, a_1'), which changes sign there
+    p = P([1, 1]) ** 5 * P([-2, 1]) ** 3 * P([-2, 0, 1]) ** 3 * X**2
+    for min_width in (F(1, 256), None):
+        iso = isolate_real_roots(p, min_width)
+        assert [r.multiplicity for r in iso] == [3, 5, 2, 3, 3]
+        assert [r.lo for r in iso if r.is_point] == [-1, 0, 2]
 
 
 def test_isolate_no_real_roots():
@@ -251,26 +266,40 @@ def test_isolation_evaluates_each_point_once(monkeypatch):
 
 
 def test_isolation_builds_one_remainder_sequence(monkeypatch):
-    # The Sturm chain that the bisection counts on ends at gcd(f, f'), which
-    # Yun's algorithm starts from, and the root at 0 is split off first, so
-    # locating a squarefree polynomial builds one remainder sequence of two
-    # nonzero inputs (Yun's own gcd(b, w) then has w = 0).
+    # The Sturm chain that the bisection counts on ends at gcd(f, f'), the
+    # first row of the gcd tower that gives the multiplicities, and the root
+    # at 0 is split off first.  On squarefree f that row is a constant, so
+    # locating f builds one remainder sequence of two nonzero inputs, makes
+    # one division (the squarefree quotient f / gcd(f, f')) and no gcd call.
+    from collections import Counter
+
     from eulerstab import polynomial
 
-    calls = []
+    counts = Counter()
     remainder_rows = polynomial._remainder_rows
+    divmod_ = Polynomial.__divmod__
+    poly_gcd = polynomial.poly_gcd
 
     def spy(p, q):
-        if not q.is_zero:
-            calls.append(p)
+        counts["rows"] += not q.is_zero
         return remainder_rows(p, q)
 
-    monkeypatch.setattr(stability, "_remainder_rows", spy)
-    monkeypatch.setattr(polynomial, "_remainder_rows", spy)
+    def divmod_spy(p, q):
+        counts["divmod"] += 1
+        return divmod_(p, q)
+
+    def gcd_spy(p, q):
+        counts["gcd"] += 1
+        return poly_gcd(p, q)
+
+    monkeypatch.setattr(Polynomial, "__divmod__", divmod_spy)
+    for module in (stability, polynomial):
+        monkeypatch.setattr(module, "_remainder_rows", spy)
+        monkeypatch.setattr(module, "poly_gcd", gcd_spy, raising=False)
     for p in (eulerian_d(8), X * eulerian_d(8)):
-        calls.clear()
+        counts.clear()
         isolate_real_roots(p)
-        assert len(calls) == 1
+        assert (counts["rows"], counts["divmod"], counts["gcd"]) == (1, 1, 0)
 
 
 def test_isolation_skips_root_free_side(monkeypatch):
@@ -516,21 +545,27 @@ _quadratic = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(lambda bc: P(
 @given(st.lists(st.tuples(st.one_of(_linear, _quadratic), st.integers(1, 3)), min_size=1, max_size=4))
 @settings(max_examples=80, deadline=None)
 def test_isolation_multiplicities_match_sturm_counts(factor_powers):
+    # The reference comes from the drawn factors alone.  A factor q is x - r
+    # or x^2 + bx + c, whose roots are real iff its discriminant is >= 0 and
+    # coincide iff it is 0; a drawn (q, m) adds m times q's own multiplicity
+    # at each of its roots.
     p = P([1])
     for q, m in factor_powers:
         p = p * q**m
-    yun = squarefree_decompose(p)
-    # the Cauchy index Ind(q'/q) of a chain counts q's distinct real roots
-    real = sum(m * stability._index(sturm_chain(q).rows) for q, m in yun)
+
+    def disc(q):
+        return q.coeffs[1] ** 2 - 4 * q.coeffs[0] if q.degree == 2 else 1
+
+    real = sum(m * q.degree for q, m in factor_powers if disc(q) >= 0)
     for min_width in (F(1, 256), None):
         iso = isolate_real_roots(p, min_width)
         assert iso.total_multiplicity == real
         for root in iso:
             if root.is_point:
-                expected = sum(m for q, m in yun if q(root.lo) == 0)
+                hits = [(q, m) for q, m in factor_powers if q(root.lo) == 0]
             else:
-                expected = sum(m for q, m in yun if count_real_roots(q, root.lo, root.hi) == 1)
-            assert root.multiplicity == expected
+                hits = [(q, m) for q, m in factor_powers if count_real_roots(q, root.lo, root.hi) == 1]
+            assert root.multiplicity == sum(m * (2 if disc(q) == 0 else 1) for q, m in hits)
 
 
 # Real-rooted factors with exactly known roots: x - r has the root r and
