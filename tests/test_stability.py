@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from eulerstab import stability
 from eulerstab.eulerian import affine_b, eulerian_a, eulerian_d, half_b
-from eulerstab.lab import padded_stability_source
+from eulerstab.lab import default_k_grid, padded_stability_source, stability_family
 from eulerstab.polynomial import Polynomial
 from eulerstab.stability import (
     STRICTLY_STABLE,
@@ -421,6 +421,174 @@ def test_weak_stability_catches_mixed_signs():
     assert hermite_biehler_weakly_stable(P([1, 0, 0, 1])).verdict == UNSTABLE
 
 
+def _isolation_certificate(p):
+    """The weak-stability decision read off root isolations: each part's
+    real-rootedness and root signs come from `_locate`, and the interlacing
+    step from the index.  The reference for the remainder-sequence decision;
+    returns (verdict, even_part_roots, odd_part_roots, interlacing, detail)."""
+    if p.is_zero:
+        return UNSTABLE, None, None, None, "zero polynomial vanishes identically"
+    if p.leading_coefficient < 0:
+        p = -p
+    even, odd = p.even_odd_split()
+
+    if even.is_zero or odd.is_zero:
+        part = even if odd.is_zero else odd
+        iso = stability._locate(part, None)
+        ok = iso.total_multiplicity == part.degree and all(r.hi <= 0 for r in iso)
+        verdict = WEAKLY_STABLE if ok else UNSTABLE
+        if odd.is_zero:
+            return verdict, iso, None, None, "degenerate split: odd part vanishes"
+        return verdict, None, iso, None, "degenerate split: even part vanishes"
+
+    even_iso, odd_iso = stability._locate(even, None), stability._locate(odd, None)
+    problems = []
+    if even.leading_coefficient <= 0 or odd.leading_coefficient <= 0:
+        problems.append("an even/odd part has a nonpositive leading coefficient")
+    if even_iso.total_multiplicity != even.degree:
+        problems.append("even part is not real-rooted")
+    if odd_iso.total_multiplicity != odd.degree:
+        problems.append("odd part is not real-rooted")
+    if any(r.hi > 0 for r in even_iso) or any(r.hi > 0 for r in odd_iso):
+        problems.append("a part has a positive real root")
+    if odd.degree not in (even.degree - 1, even.degree):
+        problems.append("even/odd degrees are incompatible with interlacing")
+    interlacing = None
+    if not problems:
+        interlacing = stability._index_interlaces(odd, even)
+        if not interlacing:
+            problems.append("odd part does not interlace the even part")
+    verdict = WEAKLY_STABLE if not problems else UNSTABLE
+    return verdict, even_iso, odd_iso, interlacing, "; ".join(problems)
+
+
+def _weak_certificate_matches_isolation(p) -> str:
+    cert = hermite_biehler_weakly_stable(p)
+    ev = cert.evidence
+    got = (cert.verdict, ev.even_part_roots, ev.odd_part_roots, ev.interlacing, ev.detail)
+    assert got == _isolation_certificate(p), p
+    return cert.verdict
+
+
+def test_weak_stability_matches_isolation_on_the_family_grid():
+    # The acceptance grid k in [-n, 5] (all stable) plus k = -2n and -3n,
+    # below the conjectured threshold (about -4n/pi), for failing verdicts.
+    verdicts = []
+    for n in range(2, 13):
+        for k in [*default_k_grid(n), -2 * n, -3 * n]:
+            verdicts.append(_weak_certificate_matches_isolation(stability_family(n, k)))
+    assert verdicts.count(UNSTABLE) >= 10 and verdicts.count(WEAKLY_STABLE) > 200
+
+
+def test_weak_stability_matches_isolation_on_random_products():
+    # The acceptance suite's self-consistency products (same seed and draws):
+    # stable products of x + r and x^2 + bx + c, times x - s for the bad one.
+    rng = random.Random(8675309)
+    for _ in range(200):
+        p = P([1])
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                p = p * P([F(rng.randint(1, 40), rng.randint(1, 8)), 1])
+            else:
+                b = F(rng.randint(1, 40), rng.randint(1, 8))
+                c = F(rng.randint(1, 40), rng.randint(1, 8))
+                p = p * P([c, b, 1])
+        assert _weak_certificate_matches_isolation(p) == WEAKLY_STABLE
+        bad = p * P([-F(rng.randint(1, 20), rng.randint(1, 4)), 1])
+        assert _weak_certificate_matches_isolation(bad) == UNSTABLE
+
+
+_nonnegative = st.fractions(min_value=0, max_value=6, max_denominator=4)
+_positive = _nonnegative.filter(bool)
+_signed = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+# Factors with every zero in Re <= 0: x + r (x itself at r = 0), x^2 + a
+# (a pair on the imaginary axis) and x^2 + bx + c, with r, a, b, c >= 0.
+_left_factors = st.one_of(
+    _nonnegative.map(lambda r: P([r, 1])),
+    _nonnegative.map(lambda a: P([a, 0, 1])),
+    st.tuples(_nonnegative, _nonnegative).map(lambda bc: P([bc[1], bc[0], 1])),
+)
+# Factors with a zero in Re > 0: x - r and x^2 - a, r, a > 0, x^2 + bx + c
+# with b < 0 or c < 0, and x^4 + bx^2 + c with b^2 < 4c, b >= 0, which
+# leaves the coefficients nonnegative but puts the non-real-rooted factor
+# y^2 + by + c into gcd(E, O).
+_right_factors = st.one_of(
+    _positive.map(lambda r: P([-r, 1])),
+    _positive.map(lambda a: P([-a, 0, 1])),
+    st.tuples(_nonnegative, _positive)
+    .filter(lambda bc: bc[0] ** 2 < 4 * bc[1])
+    .map(lambda bc: P([bc[1], 0, bc[0], 0, 1])),
+    st.tuples(_positive, _signed).map(lambda bc: P([bc[1], -bc[0], 1])),
+    st.tuples(_signed, _positive).map(lambda bc: P([-bc[1], bc[0], 1])),
+)
+_signed_scales = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+
+
+@given(
+    _signed_scales,
+    st.lists(st.tuples(_left_factors, st.integers(1, 3)), min_size=1, max_size=4),
+    st.lists(_right_factors, max_size=2),
+    st.sampled_from(["none", "odd part vanishes", "even part vanishes"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_weak_stability_matches_isolation_on_constructed_products(scale, left, right, split):
+    # Repeated zeros, powers of x, zeros on the imaginary axis, and p(x^2) or
+    # x * p(x^2) for the degenerate splits, whose verdict only the reference
+    # gives.
+    p = P([scale])
+    for q, m in left:
+        p = p * q**m
+    for q in right:
+        p = p * q
+    if split != "none":
+        p = p.of_x_squared() * (X if split == "even part vanishes" else P([1]))
+    verdict = _weak_certificate_matches_isolation(p)
+    if split == "none":
+        assert verdict == (UNSTABLE if right else WEAKLY_STABLE)
+
+
+@given(st.lists(_nonnegative, min_size=1, max_size=5), _positive, st.data())
+@settings(max_examples=50, deadline=None)
+def test_weak_stability_matches_isolation_on_chosen_parts(even_roots, scale, data):
+    # p = E(x^2) + x O(x^2) with E and O given by their roots -r <= 0, shared
+    # and repeated ones included: weakly stable iff O's roots interlace E's.
+    odd_roots = data.draw(st.lists(_nonnegative, min_size=len(even_roots) - 1, max_size=len(even_roots)))
+    even, odd = P([1]), P([scale])
+    for r in even_roots:
+        even = even * P([r, 1])
+    for r in odd_roots:
+        odd = odd * P([r, 1])
+    p = even.of_x_squared() + X * odd.of_x_squared()
+    stable = _weakly_alternate([-r for r in even_roots], [-r for r in odd_roots])
+    assert _weak_certificate_matches_isolation(p) == (WEAKLY_STABLE if stable else UNSTABLE)
+
+
+def test_stable_certificate_isolates_only_when_read(monkeypatch):
+    located = []
+    locate = stability._locate
+
+    def spy(p, width):
+        located.append(p)
+        return locate(p, width)
+
+    monkeypatch.setattr(stability, "_locate", spy)
+    # (x + 1)^3 (x^2 + 1) and x^2 + 1, whose odd part vanishes
+    for p in (P([1, 1]) ** 3 * P([1, 0, 1]), P([1, 0, 1])):
+        cert = hermite_biehler_weakly_stable(p)
+        assert cert.verdict == WEAKLY_STABLE and located == []
+        ev = cert.evidence
+        even_roots = ev.even_part_roots
+        assert located == [ev.even_part] and ev.even_part_roots is even_roots
+        parts = [ev.even_part] if ev.odd_part is None else [ev.even_part, ev.odd_part]
+        assert ev.odd_part_roots == (None if ev.odd_part is None else locate(ev.odd_part, None))
+        assert located == parts
+        located.clear()
+    # A failing verdict isolates both parts to name what failed.
+    cert = hermite_biehler_weakly_stable(P([1, 1]) ** 3 * P([-1, 1]))
+    assert cert.verdict == UNSTABLE and len(located) == 2
+    assert cert.evidence.detail == "a part has a positive real root"
+
+
 # ---------------------------------------------------------------------------
 # Hurwitz determinants and strict stability
 
@@ -513,16 +681,11 @@ def test_decisions_never_isolate_roots(monkeypatch):
     from eulerstab import lab
 
     shared = P([1, 1]) * P([-2, 0, 1])  # a rational and two irrational roots
-    # The weak-stability certificate isolates each part for its evidence
-    # fields, so the padded source's certificate is built before the spy.
-    cert = hermite_biehler_weakly_stable(padded_stability_source(6))
-    assert cert.verdict == WEAKLY_STABLE
 
     def refuse(*args):
         raise AssertionError("a decision went through root isolation")
 
     monkeypatch.setattr(stability, "_isolate_squarefree", refuse)
-    monkeypatch.setattr(lab, "hermite_biehler_weakly_stable", lambda p: cert)
     assert interlaces(shared * P([3, 1]), shared * P([1, 2]))
     assert not interlaces(P([20, 1]) * P([30, 1]), P([1, 1]) * P([10, 1]))
     with pytest.raises(ValueError, match="real-rooted"):
@@ -532,6 +695,9 @@ def test_decisions_never_isolate_roots(monkeypatch):
         assert report.status == "pass" and report.checks_run >= 4
     scan = lab.scan_distinct_roots(6, lab.default_distinct_grid(6))
     assert scan.status == "pass" and scan.checks_run == 24
+    report = lab.verify_family_stability(8, lab.default_k_grid(8))
+    assert report.status == "pass" and report.checks_run == len(lab.default_k_grid(8))
+    assert hermite_biehler_weakly_stable(P([0, 1, 0, 1])).verdict == WEAKLY_STABLE
 
 
 # ---------------------------------------------------------------------------
