@@ -40,7 +40,7 @@ from .eulerian import (
     half_d,
     zigzag,
 )
-from .polynomial import Polynomial, Scalar, _coerce
+from .polynomial import Polynomial, Scalar, _coerce, _remainder_rows
 from .stability import (
     STRICTLY_STABLE,
     WEAKLY_STABLE,
@@ -49,7 +49,6 @@ from .stability import (
     interlaces,
     is_real_rooted,
     is_strictly_hurwitz_stable,
-    sturm_chain,
 )
 
 _X = Polynomial.x()
@@ -402,8 +401,9 @@ def scan_distinct_roots(n: int, ks: Sequence[Scalar]) -> VerificationReport:
     """Per-k check that A_{n-1} + k*x*A_{n-3} has all distinct real zeros
     exactly when k is in the conjectured region.
 
-    "All distinct real zeros" is decided on the Sturm chain of p: its Cauchy
-    index Ind(p'/p) counts the distinct real roots and must reach deg(p).
+    "All distinct real zeros" is decided on the remainder sequence of p and
+    p': its Cauchy index Ind(p'/p) counts the distinct real roots and must
+    reach deg(p).
     Boundary values of k are recorded as observations without a pass/fail
     judgment.
     """
@@ -419,7 +419,7 @@ def scan_distinct_roots(n: int, ks: Sequence[Scalar]) -> VerificationReport:
     for raw in ks:
         k = _coerce(raw)
         p = eulerian_a(n - 1) + k * _X * eulerian_a(n - 3)
-        distinct_real = _index(sturm_chain(p).rows) == p.degree
+        distinct_real = _index(_remainder_rows(p, p.derivative())) == p.degree
         if k == left or k == right:
             report.observations.append(
                 f"n={n} boundary k={k}: all-distinct-real-roots={distinct_real}"

@@ -18,15 +18,14 @@ Every decision in this module is made in exact rational arithmetic:
   lists without breaking the alternation.
 * Real roots are isolated, with exact multiplicities, into disjoint open
   rational intervals or exact rational points.  The root at 0 is split off
-  with the multiplicity of the leading zero coefficients, and one recursive
-  bisection isolates the rest, f: f's own Sturm chain counts its distinct
-  roots, and the squarefree quotient f / gcd(f, f') gives every sign.  Its
-  first splits are the power-of-two magnitude brackets between the Cauchy
+  with the multiplicity of the leading zero coefficients, and one bisection
+  isolates the rest, f: f's own Sturm chain counts its distinct roots, and
+  the squarefree quotient f / gcd(f, f') gives every sign.  Its first splits are the power-of-two magnitude brackets between the Cauchy
   bounds (root magnitudes of the polynomials handled here span many orders,
   so plain midpoint bisection from the bound would waste dozens of Sturm
   evaluations per root); inside one octave it splits at midpoints.  The
-  Sturm variation counts at an interval's endpoints travel down the
-  recursion, so no point is evaluated twice.  An interval that holds one
+  Sturm variation counts at an interval's endpoints travel with it on a work
+  list, so no point is evaluated twice.  An interval that holds one
   simple root is refined by the sign change alone, with no Sturm count.
   Multiplicities come from the gcd tower a_1 = gcd(f, f'), the chain's last
   row, a_{i+1} = gcd(a_i, a_i') (Musser 1971): a root of multiplicity m is
@@ -42,17 +41,17 @@ Every decision in this module is made in exact rational arithmetic:
   index makes E/h and O/h real-rooted.  When one part vanishes
   identically, p is weakly stable iff its coefficients are nonnegative and
   the other part is real-rooted.
-* Strict Hurwitz stability is decided by positivity of the Hurwitz
-  determinants, computed fraction-free (Bareiss) after clearing
-  denominators.
+* Strict Hurwitz stability is decided on the same sequence of (E, O): p is
+  strictly stable iff every coefficient is positive and Ind(O/E) = deg E.
+  The Hurwitz determinants, computed fraction-free (Bareiss) after clearing
+  denominators, are evidence only, built when first read.
 
-Division of labor: real-rootedness, interlacing and weak stability are
-decided by the index of remainder sequences.  Root isolation, on one Sturm
-chain and its gcd tower per polynomial, serves output (`gen --roots`,
-`approximate_real_roots`) and evidence only: a failing weak-stability
-certificate isolates both parts to name the failed conditions, and a
-certificate's isolation fields are built when first read.  Strict stability
-always goes through the determinants.
+Division of labor: real-rootedness, interlacing and weak and strict
+stability are decided by the index of remainder sequences.  Root isolation,
+on one Sturm chain and its gcd tower per polynomial, serves output
+(`gen --roots`, `approximate_real_roots`) and evidence only: a failing
+weak-stability certificate isolates both parts to name the failed
+conditions, and a certificate's isolation fields are built when first read.
 """
 
 from __future__ import annotations
@@ -176,7 +175,7 @@ def squarefree_decompose(p: Polynomial) -> Tuple[Tuple[Polynomial, int], ...]:
     a = [p, *map(Polynomial, _gcd_tower(_remainder_rows(p, p.derivative())[-1]))]
     b = [u.exact_div(v) for u, v in zip(a, a[1:])] + [Polynomial.one()]
     q = [u.exact_div(v) for u, v in zip(b, b[1:])]
-    return tuple((qi.monic(), i) for i, qi in enumerate(q, 1) if qi.degree > 0)
+    return tuple([(qi.monic(), i) for i, qi in enumerate(q, 1) if qi.degree > 0])
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +234,7 @@ def _isolate_squarefree(
     given, each interval is refined until b - a <= width(a, b) (unless the
     root is found exactly first).  No endpoint is a root: each one passes an
     exact nonzero test, and 0 is never one.  An interval's endpoint variation
-    counts travel down the recursion, so no point is evaluated twice.
+    counts travel with it on the work list, so no point is evaluated twice.
     """
     roots: List[Tuple[Fraction, Fraction]] = []
     var = chain.variations
@@ -276,20 +275,22 @@ def _isolate_squarefree(
                 a, b = (a, m) if sm != sa else (m, b)
         roots.append((a, b))
 
-    def bisect(a: Fraction, b: Fraction, va: int, vb: int, i: int, j: int) -> None:
-        # (a, b) holds va - vb roots, va and vb being the variation counts at
-        # a and b, and lies in [bounds[i], bounds[j]].  Split at the middle
-        # bracket while the span covers more than one octave, then at
-        # arithmetic midpoints; a root found at the split point becomes an
-        # exact point with a root-free gap around it.
+    # A work list of intervals (a, b) holding va - vb roots, va and vb being
+    # the variation counts at a and b, each lying in [bounds[i], bounds[j]],
+    # taken left to right.  Split at the middle bracket while the span covers
+    # more than one octave, then at arithmetic midpoints; a root found at the
+    # split point becomes an exact point with a root-free gap around it.
+    todo = [(bounds[0], bounds[-1], var(bounds[0]), var(bounds[-1]), 0, len(bounds) - 1)]
+    while todo:
+        a, b, va, vb, i, j = todo.pop()
         if va == vb:
-            return
+            continue
         if j - i > 1:
             k = (i + j) // 2
             m, start, left, right = bounds[k], abs(bounds[k]) / 4, (i, k), (k, j)
         elif va - vb == 1:
             refine(a, b)
-            return
+            continue
         else:
             m, start, left, right = (a + b) / 2, (b - a) / 4, (i, j), (i, j)
         if _sign_at(row, m):
@@ -298,10 +299,8 @@ def _isolate_squarefree(
         else:
             roots.append((m, m))
             d, vl, vr = hug(m, start)
-        bisect(a, m - d, va, vl, *left)
-        bisect(m + d, b, vr, vb, *right)
-
-    bisect(bounds[0], bounds[-1], var(bounds[0]), var(bounds[-1]), 0, len(bounds) - 1)
+        todo.append((m + d, b, vr, vb, *right))
+        todo.append((a, m - d, va, vl, *left))
     return roots
 
 
@@ -331,7 +330,7 @@ def _locate(p: Polynomial, width: Optional[_Width]) -> RootIsolation:
             if owners[:1] != [0]:
                 raise RuntimeError("internal error: isolated root matches no factor")
             located.append((a, b, 1 + owners[-1]))
-    return RootIsolation(tuple(IsolatedRoot(*r) for r in sorted(located)))
+    return RootIsolation(tuple([IsolatedRoot(*r) for r in sorted(located)]))
 
 
 def isolate_real_roots(
@@ -367,19 +366,12 @@ def approximate_real_roots(p: Polynomial, digits: int = 20) -> List[Tuple[Fracti
 
 
 def is_real_rooted(p: Polynomial) -> bool:
-    """True iff every complex root of p is real.
-
-    Decided on one Sturm chain of p: it ends at gcd(p, p'), so p has
-    p.degree - deg(gcd) distinct roots, and they are all real iff the
-    Cauchy index Ind(p'/p), which counts the distinct real roots, equals
-    that number.
-    """
+    """True iff every complex root of p is real: the Cauchy index Ind(p'/p)
+    counts p's distinct real roots, and must reach p.degree - deg gcd(p, p'),
+    the number of its distinct roots."""
     if p.is_zero:
         raise ValueError("real-rootedness is undefined for the zero polynomial")
-    if p.degree < 1:
-        return True
-    rows = _remainder_rows(p, p.derivative())
-    return _index(rows) == len(rows[0]) - len(rows[-1])
+    return p.degree < 1 or _index_interlaces(p.derivative(), p)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +379,9 @@ def is_real_rooted(p: Polynomial) -> bool:
 
 
 def _index_interlaces(g: Polynomial, f: Polynomial) -> bool:
-    """Whether real-rooted g weakly interlaces real-rooted f, both with
-    positive leading coefficients: Ind(g/f) = deg f - deg gcd(f, g)."""
+    """Ind(g/f) = deg f - deg gcd(f, g).  For real-rooted f and g with
+    positive leading coefficients, g weakly interlaces f; for g = f', f is
+    real-rooted."""
     rows = _remainder_rows(f, g)
     return _index(rows) == len(rows[0]) - len(rows[-1])
 
@@ -441,7 +434,14 @@ class HermiteBiehlerEvidence:
 
 @dataclasses.dataclass(frozen=True)
 class HurwitzEvidence:
-    determinants: Tuple[Fraction, ...]
+    """Witness data for a strict-stability verdict: the polynomial.  Its
+    Hurwitz determinants are built when first read; no verdict needs them."""
+
+    polynomial: Polynomial
+
+    @functools.cached_property
+    def determinants(self) -> Tuple[Fraction, ...]:
+        return hurwitz_determinants(self.polynomial)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -577,8 +577,14 @@ def hurwitz_determinants(p: Polynomial) -> Tuple[Fraction, ...]:
 
 
 def is_strictly_hurwitz_stable(p: Polynomial) -> StabilityCertificate:
-    """Routh-Hurwitz criterion: strictly stable iff every Hurwitz determinant
-    is positive.  Requires a positive leading coefficient (normalize first).
+    """Decide strict Hurwitz stability (every zero in the open left half
+    plane).  Requires a positive leading coefficient (normalize first).
+
+    With p(x) = E(x^2) + x*O(x^2), p is strictly stable iff every
+    coefficient is positive and Ind(O/E) = deg E on the remainder sequence
+    of E and O (Hermite-Biehler): positive coefficients force deg O to be
+    deg E or deg E - 1, and that index makes gcd(E, O) constant and the
+    roots of E and O simple, negative and strictly interlacing.
 
     An "unstable" verdict here means only that strict stability fails; the
     polynomial may still be weakly stable (zeros on the imaginary axis).
@@ -587,6 +593,6 @@ def is_strictly_hurwitz_stable(p: Polynomial) -> StabilityCertificate:
         raise ValueError("stability is undefined for the zero polynomial")
     if p.leading_coefficient <= 0:
         raise ValueError("the leading coefficient must be positive; normalize the sign first")
-    dets = hurwitz_determinants(p)
-    verdict = STRICTLY_STABLE if all(d > 0 for d in dets) else UNSTABLE
-    return StabilityCertificate(verdict, HurwitzEvidence(dets))
+    even, odd = p.even_odd_split()
+    stable = all(c > 0 for c in p.coeffs) and _index(_remainder_rows(even, odd)) == even.degree
+    return StabilityCertificate(STRICTLY_STABLE if stable else UNSTABLE, HurwitzEvidence(p))

@@ -2,8 +2,8 @@
 
 Each criterion prints one PASS/FAIL line.  All comparisons are exact except
 the bisection widths, which are pinned at 10^-6.  Set EULERSTAB_EXTENDED=1
-to raise the oracle sweep from rank 7 to rank 8 and the weak-stability sweep
-from rank 30 to rank 40.
+to raise the oracle sweep from rank 7 to rank 8, the weak-stability sweep
+from rank 30 to rank 40 and the threshold brackets from n = 24 to n = 40.
 """
 
 import io
@@ -54,6 +54,7 @@ X = Polynomial.x()
 EXTENDED = os.environ.get("EULERSTAB_EXTENDED") == "1"
 ORACLE_MAX = 8 if EXTENDED else 7
 WEAK_MAX = 40 if EXTENDED else 30
+THRESHOLD_MAX = 40 if EXTENDED else 24
 
 
 def _finish(criterion: str, failures: list, started: float) -> None:
@@ -125,7 +126,7 @@ def test_criterion_06_threshold_brackets():
     started = time.time()
     failures = []
     width = F(1, 10**6)
-    for n in range(3, 13):
+    for n in range(3, THRESHOLD_MAX + 1):
         bracket = critical_k(n, width)
         conj = conjectured_threshold(n)
         if not (bracket.lower <= conj <= bracket.upper):
@@ -140,7 +141,7 @@ def test_criterion_06_threshold_brackets():
             failures.append(f"n={n}: strictly stable just below the threshold")
     if conjectured_threshold(3) != F(-4):
         failures.append("n=3 threshold is not exactly -4")
-    _finish("6 threshold brackets 3<=n<=12 width<=1e-6", failures, started)
+    _finish(f"6 threshold brackets 3<=n<={THRESHOLD_MAX} width<=1e-6", failures, started)
 
 
 def test_criterion_07_operator_symbol():

@@ -1,5 +1,6 @@
 """Sturm chains, root isolation, interlacing, and both stability criteria."""
 
+import gc
 import itertools
 import random
 import signal
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerstab import stability
+from eulerstab import lab, stability
 from eulerstab.eulerian import affine_b, eulerian_a, eulerian_d, half_b
 from eulerstab.lab import default_k_grid, padded_stability_source, stability_family
 from eulerstab.polynomial import Polynomial
@@ -319,6 +320,19 @@ def test_isolation_skips_root_free_side(monkeypatch):
     assert {x for x in seen if x < 0} <= {F(-(2**22)), F(-1, 2)}
 
 
+def test_isolation_leaves_no_reference_cycles():
+    # With the collector off, every object isolation makes is freed by
+    # reference counting alone, so a collection afterwards finds nothing.
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(2, 12):
+            isolate_real_roots(eulerian_d(n) * P([1, 0, 1]))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # real-rootedness
 
@@ -480,9 +494,10 @@ def test_weak_stability_matches_isolation_on_the_family_grid():
     assert verdicts.count(UNSTABLE) >= 10 and verdicts.count(WEAKLY_STABLE) > 200
 
 
-def test_weak_stability_matches_isolation_on_random_products():
+def _c8_products():
     # The acceptance suite's self-consistency products (same seed and draws):
-    # stable products of x + r and x^2 + bx + c, times x - s for the bad one.
+    # each stable product of x + r and x^2 + bx + c is followed by its
+    # multiple by x - s, the bad one.
     rng = random.Random(8675309)
     for _ in range(200):
         p = P([1])
@@ -493,9 +508,13 @@ def test_weak_stability_matches_isolation_on_random_products():
                 b = F(rng.randint(1, 40), rng.randint(1, 8))
                 c = F(rng.randint(1, 40), rng.randint(1, 8))
                 p = p * P([c, b, 1])
-        assert _weak_certificate_matches_isolation(p) == WEAKLY_STABLE
-        bad = p * P([-F(rng.randint(1, 20), rng.randint(1, 4)), 1])
-        assert _weak_certificate_matches_isolation(bad) == UNSTABLE
+        yield p
+        yield p * P([-F(rng.randint(1, 20), rng.randint(1, 4)), 1])
+
+
+def test_weak_stability_matches_isolation_on_random_products():
+    for i, p in enumerate(_c8_products()):
+        assert _weak_certificate_matches_isolation(p) == (UNSTABLE if i % 2 else WEAKLY_STABLE)
 
 
 _nonnegative = st.fractions(min_value=0, max_value=6, max_denominator=4)
@@ -624,6 +643,57 @@ def test_strict_certificate_invariant():
     assert all(d > 0 for d in cert.evidence.determinants)
 
 
+def test_strict_verdict_matches_hurwitz_determinants():
+    # The index verdict against the Routh-Hurwitz criterion it replaced.
+    inputs = []
+    for n in range(3, 13):
+        conj = lab.conjectured_threshold(n)
+        inputs += [stability_family(n, conj + F(j, 7)) for j in range(-7, 8)]
+    inputs += list(_c8_products())
+    rng = random.Random(17)
+    for _ in range(150):
+        p = P([rng.randint(1, 5)])
+        for _ in range(rng.randint(0, 5)):
+            r = rng.random()
+            if r < 0.3:
+                p = p * P([F(rng.randint(-3, 30), rng.randint(1, 6)), 1])
+            elif r < 0.6:
+                p = p * P([F(rng.randint(-3, 30), rng.randint(1, 6)), rng.randint(-3, 30), 1])
+            elif r < 0.8:
+                p = p * P([F(rng.randint(1, 9), rng.randint(1, 3)), 0, 1])  # zeros on the axis
+            else:
+                p = p * X
+        inputs.append(p)
+    inputs += [P([3]), P([F(1, 2)]), P([0, 1]), P([1, 1]), P([-1, 1]), P([F(2, 3), 5])]
+    inputs += [X**k for k in range(2, 5)] + [P([1, 1]) * X**2, P([1, 0, 1]) ** 2]
+    verdicts = {UNSTABLE: 0, STRICTLY_STABLE: 0}
+    for p in inputs:
+        verdict = is_strictly_hurwitz_stable(p).verdict
+        assert (verdict == STRICTLY_STABLE) == all(d > 0 for d in hurwitz_determinants(p)), p
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) > 100
+
+
+def test_strict_decisions_build_no_determinant(monkeypatch):
+    calls = []
+    determinants = stability.hurwitz_determinants
+
+    def spy(p):
+        calls.append(p)
+        return determinants(p)
+
+    monkeypatch.setattr(stability, "hurwitz_determinants", spy)
+    for n in range(3, 9):
+        lab.critical_k(n, F(1, 10**6))
+    for p in _c8_products():
+        is_strictly_hurwitz_stable(p)
+    cert = is_strictly_hurwitz_stable(P([1, 2, 2, 1]))
+    assert cert.verdict == STRICTLY_STABLE and calls == []
+    dets = cert.evidence.determinants
+    assert dets == (2, 3, 3) and calls == [P([1, 2, 2, 1])]
+    assert cert.evidence.determinants is dets and len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # cross-criterion agreement
 
@@ -678,8 +748,6 @@ def test_sign_decisions_never_evaluate_fractions(monkeypatch):
 def test_decisions_never_isolate_roots(monkeypatch):
     # Real-rootedness and interlacing come from the Cauchy index of one
     # remainder sequence; root isolation only produces output and evidence.
-    from eulerstab import lab
-
     shared = P([1, 1]) * P([-2, 0, 1])  # a rational and two irrational roots
 
     def refuse(*args):
