@@ -40,11 +40,11 @@ from .eulerian import (
     half_d,
     zigzag,
 )
-from .polynomial import Polynomial, Scalar, _coerce, _remainder_rows
+from .polynomial import Polynomial, Scalar, _coerce
 from .stability import (
     STRICTLY_STABLE,
     WEAKLY_STABLE,
-    _index,
+    _count_real,
     hermite_biehler_weakly_stable,
     interlaces,
     is_real_rooted,
@@ -419,7 +419,7 @@ def scan_distinct_roots(n: int, ks: Sequence[Scalar]) -> VerificationReport:
     for raw in ks:
         k = _coerce(raw)
         p = eulerian_a(n - 1) + k * _X * eulerian_a(n - 3)
-        distinct_real = _index(_remainder_rows(p, p.derivative())) == p.degree
+        distinct_real = _count_real(p) == p.degree
         if k == left or k == right:
             report.observations.append(
                 f"n={n} boundary k={k}: all-distinct-real-roots={distinct_real}"

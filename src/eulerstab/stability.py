@@ -20,7 +20,8 @@ Every decision in this module is made in exact rational arithmetic:
   rational intervals or exact rational points.  The root at 0 is split off
   with the multiplicity of the leading zero coefficients, and one bisection
   isolates the rest, f: f's own Sturm chain counts its distinct roots, and
-  the squarefree quotient f / gcd(f, f') gives every sign.  Its first splits are the power-of-two magnitude brackets between the Cauchy
+  the squarefree quotient f / gcd(f, f') gives every sign.  Its first
+  splits are the power-of-two magnitude brackets between the Cauchy
   bounds (root magnitudes of the polynomials handled here span many orders,
   so plain midpoint bisection from the bound would waste dozens of Sturm
   evaluations per root); inside one octave it splits at midpoints.  The
@@ -46,12 +47,12 @@ Every decision in this module is made in exact rational arithmetic:
   The Hurwitz determinants, computed fraction-free (Bareiss) after clearing
   denominators, are evidence only, built when first read.
 
-Division of labor: real-rootedness, interlacing and weak and strict
-stability are decided by the index of remainder sequences.  Root isolation,
-on one Sturm chain and its gcd tower per polynomial, serves output
-(`gen --roots`, `approximate_real_roots`) and evidence only: a failing
-weak-stability certificate isolates both parts to name the failed
-conditions, and a certificate's isolation fields are built when first read.
+Division of labor: real-rootedness, interlacing, weak and strict stability
+and the failed conditions a weak-stability certificate names are decided
+by the index of remainder sequences.  Root isolation, on one Sturm chain
+and its gcd tower per polynomial, serves output (`gen --roots`,
+`approximate_real_roots`) and evidence only: a certificate's isolation
+fields are built when first read.
 """
 
 from __future__ import annotations
@@ -147,6 +148,11 @@ def _index(rows: Sequence[Sequence[int]]) -> int:
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     return var([(r[-1] > 0) == (len(r) % 2 == 1) for r in rows]) - var([r[-1] > 0 for r in rows])
+
+
+def _count_real(p: Polynomial) -> int:
+    """The number of distinct real roots of nonzero p: Ind(p'/p)."""
+    return _index(_remainder_rows(p, p.derivative()))
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +467,8 @@ def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
     conditions are read off the remainder sequence of E and O alone.  When
     one part vanishes identically, p is a dilated copy of the other part
     composed with x^2, so the verdict reduces to nonnegative coefficients
-    and a real-rooted surviving part.  Only a failing verdict isolates the
-    parts' roots, to name the failed conditions in the detail.
+    and a real-rooted surviving part.  A failing verdict names every failed
+    condition in the detail, each read from remainder sequences too.
     """
     if p.is_zero:
         ev = HermiteBiehlerEvidence(None, None, None, "zero polynomial vanishes identically")
@@ -480,44 +486,37 @@ def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
             ev = HermiteBiehlerEvidence(None, odd, None, "degenerate split: even part vanishes")
         return StabilityCertificate(WEAKLY_STABLE if ok else UNSTABLE, ev)
 
-    if nonnegative and odd.degree in (even.degree - 1, even.degree):
+    interlacing: Optional[bool] = None
+    compatible = odd.degree in (even.degree - 1, even.degree)
+    if nonnegative and compatible:
         # O interlaces E iff Ind(O/E) = deg E - deg h, h = gcd(E, O).  Then
         # E/h has simple real roots only and O/h a root between any two of
         # them, so O/h is real-rooted too: E and O are real-rooted iff h is.
         rows = _remainder_rows(even, odd)
-        if _index(rows) == len(rows[0]) - len(rows[-1]) and is_real_rooted(Polynomial(rows[-1])):
+        interlacing = _index(rows) == len(rows[0]) - len(rows[-1])
+        if interlacing and is_real_rooted(Polynomial(rows[-1])):
             return StabilityCertificate(WEAKLY_STABLE, HermiteBiehlerEvidence(even, odd, True))
-    return _diagnose(even, odd)
 
-
-def _diagnose(even: Polynomial, odd: Polynomial) -> StabilityCertificate:
-    """The certificate of p = E(x^2) + x*O(x^2), lc(p) > 0, with neither
-    part zero, from the isolations of both parts: every failed condition is
-    named in the detail, and interlacing is decided only when no other
-    condition fails."""
-    even_iso, odd_iso = _locate(even, None), _locate(odd, None)
-
+    # A part q has a root r > 0 iff q(y^2) has the real roots +-sqrt(r).  With
+    # no other failure p's coefficients are nonnegative, so the index was read.
     problems = []
     if even.leading_coefficient <= 0 or odd.leading_coefficient <= 0:
         problems.append("an even/odd part has a nonpositive leading coefficient")
-    if even_iso.total_multiplicity != even.degree:
+    if not is_real_rooted(even):
         problems.append("even part is not real-rooted")
-    if odd_iso.total_multiplicity != odd.degree:
+    if not is_real_rooted(odd):
         problems.append("odd part is not real-rooted")
-    if any(r.hi > 0 for r in even_iso) or any(r.hi > 0 for r in odd_iso):
+    if any(_count_real(q.of_x_squared()) > (q.coeffs[0] == 0) for q in (even, odd)):
         problems.append("a part has a positive real root")
-    if odd.degree not in (even.degree - 1, even.degree):
+    if not compatible:
         problems.append("even/odd degrees are incompatible with interlacing")
+    if problems:
+        interlacing = None
+    elif not interlacing:
+        problems.append("odd part does not interlace the even part")
 
-    interlacing: Optional[bool] = None
-    if not problems:
-        interlacing = _index_interlaces(odd, even)
-        if not interlacing:
-            problems.append("odd part does not interlace the even part")
-
-    detail = "; ".join(problems)
-    verdict = WEAKLY_STABLE if not problems else UNSTABLE
-    return StabilityCertificate(verdict, HermiteBiehlerEvidence(even, odd, interlacing, detail))
+    verdict = UNSTABLE if problems else WEAKLY_STABLE
+    return StabilityCertificate(verdict, HermiteBiehlerEvidence(even, odd, interlacing, "; ".join(problems)))
 
 
 # ---------------------------------------------------------------------------

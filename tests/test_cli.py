@@ -152,6 +152,27 @@ def test_verify_stability_failure_exit_1():
     assert "FAIL" in out
 
 
+def test_verify_stability_failure_text_is_pinned():
+    # 34 failures among 66 checks, naming every non-degenerate failed
+    # condition of the weak-stability certificate.
+    argv = ["verify", "--check", "stability", "--n-max", "12", "--ks=-100,-13,-9,-15/2,-5,-9/2"]
+    code, out = _capture([*argv, "--format", "json"])
+    assert code == 1
+    rec = json.loads(out)
+    assert rec["checks"] == 66 and len(rec["failures"]) == 34
+    for condition in (
+        "an even/odd part has a nonpositive leading coefficient",
+        "even part is not real-rooted",
+        "odd part is not real-rooted",
+        "a part has a positive real root",
+        "even/odd degrees are incompatible with interlacing",
+        "odd part does not interlace the even part",
+    ):
+        assert condition in out
+    digest = "352e1b0ee92778b42d6cce1ccad7f70324d7e196389700187ce71c7d4842d62f"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_scan_stable_n3_reports_conjectured_value():
     code, out = _capture(
         ["scan", "--conjecture", "stable", "--n", "3", "--width", "1/1000000", "--format", "json"]

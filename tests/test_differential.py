@@ -13,6 +13,7 @@ from eulerstab.stability import (
     _index,
     approximate_real_roots,
     count_real_roots,
+    hermite_biehler_weakly_stable,
     interlaces,
     is_real_rooted,
     is_strictly_hurwitz_stable,
@@ -240,6 +241,24 @@ def test_approximate_roots_carry_twenty_digits(p):
         a, b = _to_fraction(a), _to_fraction(b)
         assert mult == m
         assert max(abs(mid - a), abs(mid - b)) <= min(abs(a), abs(b)) / 10**20
+
+
+@given(_any_products)
+@settings(max_examples=60, deadline=None)
+def test_weak_stability_names_the_conditions_sympy_finds(p):
+    # Roots of both signs and complex pairs.  Each part's real-rootedness
+    # and positive roots come from sympy's own real-root code; count_roots
+    # counts distinct roots in the closed interval [0, oo).
+    cert = hermite_biehler_weakly_stable(p)
+    even, odd = cert.evidence.even_part, cert.evidence.odd_part
+    assume(cert.verdict == "unstable" and even is not None and odd is not None)
+    detail = cert.evidence.detail.split("; ")
+    parts = {"even": _to_sympy(even), "odd": _to_sympy(odd)}
+    for name, part in parts.items():
+        real_rooted = len(part.real_roots()) == part.degree()
+        assert (f"{name} part is not real-rooted" in detail) == (not real_rooted)
+    positive = any(part.count_roots(0) - (part.eval(0) == 0) > 0 for part in parts.values())
+    assert ("a part has a positive real root" in detail) == positive
 
 
 # No zero on the imaginary axis: x - r with r != 0, and x^2 + b x + c with

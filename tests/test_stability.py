@@ -602,10 +602,30 @@ def test_stable_certificate_isolates_only_when_read(monkeypatch):
         assert ev.odd_part_roots == (None if ev.odd_part is None else locate(ev.odd_part, None))
         assert located == parts
         located.clear()
-    # A failing verdict isolates both parts to name what failed.
+    # A failing verdict names what failed without isolating either part.
     cert = hermite_biehler_weakly_stable(P([1, 1]) ** 3 * P([-1, 1]))
-    assert cert.verdict == UNSTABLE and len(located) == 2
+    assert cert.verdict == UNSTABLE and located == []
     assert cert.evidence.detail == "a part has a positive real root"
+    ev = cert.evidence
+    assert ev.even_part_roots == locate(ev.even_part, None) and located == [ev.even_part]
+    assert ev.odd_part_roots == locate(ev.odd_part, None) and located == [ev.even_part, ev.odd_part]
+
+
+def test_interlacing_failure_builds_one_part_sequence(monkeypatch):
+    built = []
+    remainder_rows = stability._remainder_rows
+
+    def spy(p, q):
+        built.append((p, q))
+        return remainder_rows(p, q)
+
+    monkeypatch.setattr(stability, "_remainder_rows", spy)
+    # n = 5, k = -15/2 fails at the interlacing step alone.
+    cert = hermite_biehler_weakly_stable(stability_family(5, F(-15, 2)))
+    ev = cert.evidence
+    assert cert.verdict == UNSTABLE and ev.interlacing is False
+    assert ev.detail == "odd part does not interlace the even part"
+    assert built.count((ev.even_part, ev.odd_part)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -754,6 +774,7 @@ def test_decisions_never_isolate_roots(monkeypatch):
         raise AssertionError("a decision went through root isolation")
 
     monkeypatch.setattr(stability, "_isolate_squarefree", refuse)
+    monkeypatch.setattr(stability, "_locate", refuse)
     assert interlaces(shared * P([3, 1]), shared * P([1, 2]))
     assert not interlaces(P([20, 1]) * P([30, 1]), P([1, 1]) * P([10, 1]))
     with pytest.raises(ValueError, match="real-rooted"):
@@ -766,6 +787,18 @@ def test_decisions_never_isolate_roots(monkeypatch):
     report = lab.verify_family_stability(8, lab.default_k_grid(8))
     assert report.status == "pass" and report.checks_run == len(lab.default_k_grid(8))
     assert hermite_biehler_weakly_stable(P([0, 1, 0, 1])).verdict == WEAKLY_STABLE
+    # Failing certificates name every failed condition without isolation:
+    # the family below its threshold and at the CLI's pinned failing grid.
+    details = set()
+    for n in range(2, 13):
+        for k in (-2 * n, -3 * n, -100, -13, -9, F(-15, 2), -5, F(-9, 2)):
+            cert = hermite_biehler_weakly_stable(stability_family(n, k))
+            if cert.verdict == UNSTABLE:
+                details.update(cert.evidence.detail.split("; "))
+    named = {d for d in details if not d.startswith("degenerate split")}
+    assert len(named) == 6 and "odd part does not interlace the even part" in named
+    cert = hermite_biehler_weakly_stable(P([-1, 0, 1]))
+    assert cert.verdict == UNSTABLE and cert.evidence.detail == "degenerate split: odd part vanishes"
 
 
 # ---------------------------------------------------------------------------
