@@ -1,18 +1,18 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Coefficients are `fractions.Fraction` values stored lowest degree first, so
-``Polynomial([1, 4, 1])`` is ``1 + 4x + x^2``.  The zero polynomial is the
-empty coefficient tuple, and every constructor strips trailing zeros, so
-structural equality coincides with mathematical equality.  That exactness is
-what the identity checks and stability decisions in the rest of the package
-rely on; nothing here ever touches floating point, and floats are rejected
-on construction rather than silently truncated.
+``Polynomial([1, 4, 1])`` is ``1 + 4x + x^2``: ints or `fractions.Fraction`
+coefficients, lowest degree first.  It is stored as one integer row and one
+positive denominator, coefficient i being row[i] / den (FLINT's
+``fmpq_poly`` layout), in canonical form: no trailing zero in the row (the
+zero polynomial is the empty row over 1) and no common factor of den and the
+row's content.  So structural equality coincides with mathematical equality,
+which the identity checks and stability decisions rely on; nothing here
+touches floating point, and floats are rejected, not silently truncated.
 
-The heavy loops run on integer rows, not on Fractions: a product clears each
-factor's denominators once (its lcm times the coefficients), convolves the
-Python ints and divides by the two lcms at the end, and the gcd and Sturm
-paths share one primitive remainder sequence on such rows
-(`_remainder_rows`).
+Every ring operation and evaluation runs on Python ints; `coeffs` builds
+canonical Fractions only when read, for output.  Only division runs on
+Fractions.  The gcd and Sturm paths share one primitive remainder sequence
+on integer rows (`_remainder_rows`).
 
 The degree of the zero polynomial is the distinguished marker
 ``NEG_INFINITY`` (``float("-inf")``), which compares below every integer.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 Rational = Fraction
 Scalar = Union[int, Fraction]
@@ -31,24 +31,37 @@ Scalar = Union[int, Fraction]
 NEG_INFINITY = float("-inf")
 
 
-def _coerce(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value: Scalar) -> Tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction; floats are rejected."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise TypeError(f"expected an int or Fraction, got {value!r}")
+
+
+def _coerce(value: Scalar) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
 
 
 class Polynomial:
     """Immutable dense polynomial over the rationals."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_row", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [_coerce(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs: Tuple[Fraction, ...] = tuple(cs)
+        pairs = [_ratio(c) for c in coeffs]
+        den = _int_lcm(*[d for _, d in pairs])
+        self._set([n * (den // d) for n, d in pairs], den)
+
+    def _set(self, row: Sequence[int], den: int) -> "Polynomial":
+        """Store row[i] / den, for a positive den, in canonical form: trailing
+        zeros stripped, row and den divided by their common factor."""
+        end = len(row)
+        while end and not row[end - 1]:
+            end -= 1
+        g = _int_gcd(den, *row) if end else den
+        self._row = tuple([c // g for c in row[:end]]) if g > 1 else tuple(row[:end])
+        self._den = den // g
+        return self
 
     # ------------------------------------------------------------------
     # constructors
@@ -77,43 +90,45 @@ class Polynomial:
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:
-        return self._coeffs
+        """The coefficients as canonical Fractions, built on each read."""
+        den = self._den
+        return tuple([Fraction(c, den) for c in self._row])
 
     @property
     def degree(self):
         """Degree; NEG_INFINITY for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
+        return len(self._row) - 1 if self._row else NEG_INFINITY
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._row
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
+        if not self._row:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._row[-1], self._den)
 
     @property
     def constant_term(self) -> Fraction:
-        return self._coeffs[0] if self._coeffs else Fraction(0)
+        return Fraction(self._row[0], self._den) if self._row else Fraction(0)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
+            return self._row == other._row and self._den == other._den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._row, self._den))
 
     def __repr__(self) -> str:
-        return f"Polynomial([{', '.join(str(c) for c in self._coeffs)}])"
+        return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._row:
             return "0"
         parts = []
-        for i, c in enumerate(self._coeffs):
+        for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             if i == 0:
@@ -140,22 +155,22 @@ class Polynomial:
     def _wrap(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             return other
-        return Polynomial([_coerce(other)])
+        num, den = _ratio(other)
+        return _from_row([num], den)
 
     def __add__(self, other) -> "Polynomial":
         other = self._wrap(other)
-        a, b = self._coeffs, other._coeffs
+        a, b = [c * other._den for c in self._row], [c * self._den for c in other._row]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            a[i] += c
+        return _from_row(a, self._den * other._den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self._coeffs])
+        return _from_row([-c for c in self._row], self._den)
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._wrap(other))
@@ -164,20 +179,14 @@ class Polynomial:
         return self._wrap(other) - self
 
     def __mul__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            c = _coerce(other)
-            return Polynomial([c * a for a in self._coeffs])
-        if not self._coeffs or not other._coeffs:
-            return Polynomial()
-        # Convolve the integer rows; the product's denominator is da * db.
-        (a, da), (b, db) = _integer_row(self), _integer_row(other)
+        other = self._wrap(other)
+        a, b = self._row, other._row
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b, i):
                     out[j] += ca * cb
-        den = da * db
-        return Polynomial([Fraction(c, den) for c in out])
+        return _from_row(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -196,18 +205,16 @@ class Polynomial:
         return result
 
     def __call__(self, point: Scalar) -> Fraction:
-        """Exact evaluation by Horner's rule."""
-        x = _coerce(point)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact evaluation by Horner's rule on the integer row."""
+        num, den = _ratio(point)
+        row = self._row
+        return Fraction(_horner(row, num, den), self._den * den ** (len(row) - 1)) if row else Fraction(0)
 
     # ------------------------------------------------------------------
     # calculus and reshaping
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self._coeffs)][1:])
+        return _from_row([i * c for i, c in enumerate(self._row)][1:], self._den)
 
     def reciprocal(self, m: int) -> "Polynomial":
         """x**m * p(1/x): reverse the coefficients into degree m.
@@ -218,14 +225,11 @@ class Polynomial:
             raise ValueError("reciprocal degree must be nonnegative")
         if self.degree > m:
             raise ValueError(f"reciprocal degree {m} is below the polynomial degree {self.degree}")
-        out = [Fraction(0)] * (m + 1)
-        for i, c in enumerate(self._coeffs):
-            out[m - i] = c
-        return Polynomial(out)
+        return _from_row([0] * (m + 1 - len(self._row)) + list(self._row[::-1]), self._den)
 
     def even_odd_split(self) -> Tuple["Polynomial", "Polynomial"]:
         """(E, O) with p(x) = E(x^2) + x * O(x^2)."""
-        return Polynomial(self._coeffs[0::2]), Polynomial(self._coeffs[1::2])
+        return _from_row(self._row[0::2], self._den), _from_row(self._row[1::2], self._den)
 
     def of_x_squared(self) -> "Polynomial":
         """p(x^2)."""
@@ -240,8 +244,8 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return Polynomial(), self
-        rem = list(self._coeffs)
-        div = other._coeffs
+        rem = list(self.coeffs)
+        div = other.coeffs
         lead = div[-1]
         qlen = len(rem) - len(div) + 1
         quo = [Fraction(0)] * qlen
@@ -269,21 +273,19 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
-        lead = self._coeffs[-1]
-        if lead == 1:
-            return self
-        return Polynomial([c / lead for c in self._coeffs])
+        lead = self._row[-1]
+        # p / lc(p) is row / lead: the denominator cancels.
+        s = 1 if lead > 0 else -1
+        return _from_row([s * c for c in self._row], s * lead)
 
 
 def interleave(even: Polynomial, odd: Polynomial) -> Polynomial:
     """Inverse of even_odd_split: returns even(x^2) + x * odd(x^2)."""
-    e, o = even.coeffs, odd.coeffs
-    out = [Fraction(0)] * max(2 * len(e), 2 * len(o) + 1)
-    for i, c in enumerate(e):
-        out[2 * i] = c
-    for i, c in enumerate(o):
-        out[2 * i + 1] = c
-    return Polynomial(out)
+    e, o = even._row, odd._row
+    out = [0] * max(2 * len(e), 2 * len(o) + 1)
+    out[0 : 2 * len(e) : 2] = [c * odd._den for c in e]
+    out[1 : 2 * len(o) : 2] = [c * even._den for c in o]
+    return _from_row(out, even._den * odd._den)
 
 
 def primitive_integer_coeffs(p: Polynomial) -> Tuple[int, ...]:
@@ -291,24 +293,33 @@ def primitive_integer_coeffs(p: Polynomial) -> Tuple[int, ...]:
     entries are coprime integers.  Signs are preserved."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no primitive form")
-    return _primitive(_integer_row(p)[0])
+    return _primitive(p._row)
 
 
-# _integer_row and _primitive build tuples from lists, not generators.
-# CPython (3.11) builds a tuple from a generator in a 10-slot tuple taken off
-# its free list and then resized, so tuples of every other length pile up in
-# their free lists, up to 2,000 each, until a full garbage collection: about
-# 1.5 MB of resident memory in a long loop of small stability decisions.
+# _set and _primitive build tuples from lists, not generators.  CPython
+# (3.11) builds a tuple from a generator in a 10-slot tuple taken off its free
+# list and then resized, so tuples of every other length pile up in their
+# free lists, up to 2,000 each, until a full garbage collection: about 1.5 MB
+# of resident memory in a long loop of small stability decisions.
 
 
-def _integer_row(p: Polynomial) -> Tuple[List[int], int]:
-    """(row, den) with den the lcm of p's denominators and row = den * p's
-    coefficients, as ints."""
-    den = _int_lcm(*[c.denominator for c in p.coeffs])
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+def _from_row(row: Sequence[int], den: int = 1) -> Polynomial:
+    """The polynomial with coefficients row[i] / den, for a positive den."""
+    return Polynomial.__new__(Polynomial)._set(row, den)
 
 
-def _primitive(ints: List[int]) -> Tuple[int, ...]:
+def _horner(row: Sequence[int], num: int, den: int) -> int:
+    """den^d * r(num/den) for the nonempty integer row r of degree d: its
+    sign is r's sign at num/den, for a positive den."""
+    acc = row[-1]
+    dp = 1
+    for c in row[-2::-1]:
+        dp *= den
+        acc = acc * num + c * dp
+    return acc
+
+
+def _primitive(ints: Sequence[int]) -> Tuple[int, ...]:
     g = _int_gcd(*ints)
     return tuple([v // g for v in ints])
 
@@ -340,4 +351,4 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     primitive integer remainder sequence of p and q, made monic."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    return Polynomial(_remainder_rows(p, q)[-1]).monic()
+    return _from_row(_remainder_rows(p, q)[-1]).monic()

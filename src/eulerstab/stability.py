@@ -66,6 +66,7 @@ from .polynomial import (
     Polynomial,
     Scalar,
     _coerce,
+    _horner,
     _remainder_rows,
     primitive_integer_coeffs,
 )
@@ -114,15 +115,10 @@ class SturmChain:
         return self.variations(lo) - self.variations(hi)
 
 
-def _sign_at(coeffs: Sequence[int], x: Fraction) -> int:
-    """Sign of sum(c_i * num^i * den^(d-i)), i.e. of the polynomial at num/den = x."""
-    num, den = x.numerator, x.denominator
-    acc = coeffs[-1]
-    dp = 1
-    for c in coeffs[-2::-1]:
-        dp *= den
-        acc = acc * num + c * dp
-    return (acc > 0) - (acc < 0)
+def _sign_at(row: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer row's polynomial at x."""
+    v = _horner(row, x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
 
 
 def sturm_chain(p: Polynomial) -> SturmChain:
@@ -320,8 +316,9 @@ def _locate(p: Polynomial, width: Optional[_Width]) -> RootIsolation:
     changes sign between a and b; a root's multiplicity is 1 + the highest
     level owning it, and level 0 owns every root.
     """
-    z = next(i for i, c in enumerate(p.coeffs) if c)
-    f = Polynomial(p.coeffs[z:])
+    row = primitive_integer_coeffs(p)
+    z = next(i for i, c in enumerate(row) if c)
+    f = Polynomial(row[z:])
     located = [(_ZERO, _ZERO, z)] if z else []
     if f.degree > 0:
         chain = sturm_chain(f)
@@ -476,7 +473,7 @@ def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
     if p.leading_coefficient < 0:
         p = -p
     even, odd = p.even_odd_split()
-    nonnegative = all(c >= 0 for c in p.coeffs)
+    nonnegative = min(primitive_integer_coeffs(p)) >= 0
 
     if even.is_zero or odd.is_zero:
         ok = nonnegative and is_real_rooted(even if odd.is_zero else odd)
@@ -506,7 +503,7 @@ def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
         problems.append("even part is not real-rooted")
     if not is_real_rooted(odd):
         problems.append("odd part is not real-rooted")
-    if any(_count_real(q.of_x_squared()) > (q.coeffs[0] == 0) for q in (even, odd)):
+    if any(_count_real(q.of_x_squared()) > (q.constant_term == 0) for q in (even, odd)):
         problems.append("a part has a positive real root")
     if not compatible:
         problems.append("even/odd degrees are incompatible with interlacing")
@@ -593,5 +590,5 @@ def is_strictly_hurwitz_stable(p: Polynomial) -> StabilityCertificate:
     if p.leading_coefficient <= 0:
         raise ValueError("the leading coefficient must be positive; normalize the sign first")
     even, odd = p.even_odd_split()
-    stable = all(c > 0 for c in p.coeffs) and _index(_remainder_rows(even, odd)) == even.degree
+    stable = min(primitive_integer_coeffs(p)) > 0 and _index(_remainder_rows(even, odd)) == even.degree
     return StabilityCertificate(STRICTLY_STABLE if stable else UNSTABLE, HurwitzEvidence(p))

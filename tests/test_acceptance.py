@@ -3,7 +3,8 @@
 Each criterion prints one PASS/FAIL line.  All comparisons are exact except
 the bisection widths, which are pinned at 10^-6.  Set EULERSTAB_EXTENDED=1
 to raise the oracle sweep from rank 7 to rank 8, the weak-stability sweep
-from rank 30 to rank 40 and the threshold brackets from n = 24 to n = 40.
+and the interlacing checks from rank 30 to rank 40 and the threshold
+brackets from n = 24 to n = 40.
 """
 
 import io
@@ -54,6 +55,7 @@ X = Polynomial.x()
 EXTENDED = os.environ.get("EULERSTAB_EXTENDED") == "1"
 ORACLE_MAX = 8 if EXTENDED else 7
 WEAK_MAX = 40 if EXTENDED else 30
+INTERLACING_MAX = 40 if EXTENDED else 30
 THRESHOLD_MAX = 40 if EXTENDED else 24
 
 
@@ -109,17 +111,17 @@ def test_criterion_03_weak_stability_sweep():
 def test_criterion_04_d_affine_interlacing():
     started = time.time()
     failures = []
-    for n in range(2, 21):
+    for n in range(2, INTERLACING_MAX + 1):
         failures.extend(verify_d_affine_b(n).failures)
-    _finish("4 D/affine-B real-rootedness+interlacing 2<=n<=20", failures, started)
+    _finish(f"4 D/affine-B real-rootedness+interlacing 2<=n<={INTERLACING_MAX}", failures, started)
 
 
 def test_criterion_05_half_reciprocal_interlacing():
     started = time.time()
     failures = []
-    for n in range(1, 21):
+    for n in range(1, INTERLACING_MAX + 1):
         failures.extend(verify_half_reciprocal(n).failures)
-    _finish("5 half-polynomial reciprocal interlacing n<=20", failures, started)
+    _finish(f"5 half-polynomial reciprocal interlacing n<={INTERLACING_MAX}", failures, started)
 
 
 def test_criterion_06_threshold_brackets():

@@ -46,6 +46,10 @@ def test_floats_are_rejected():
         P([0.5])
     with pytest.raises(TypeError):
         P([1, 1])(0.5)
+    with pytest.raises(TypeError):
+        P([1]) * 0.5
+    with pytest.raises(TypeError):
+        P([1]) + 0.5
 
 
 def test_repr_and_str():
@@ -82,6 +86,21 @@ def test_mul_of_integer_polynomials_runs_no_fraction_arithmetic(monkeypatch):
     product = p * q
     monkeypatch.undo()
     assert product == P([4, -8, 5, 2, 0, 15])
+
+
+def test_ring_operations_build_no_fraction(monkeypatch):
+    # A polynomial is an integer row over one denominator; apart from
+    # division, no operation makes a Fraction until coeffs is read.
+    def refuse(cls, *args):
+        raise AssertionError("a ring operation built a Fraction")
+
+    p, q, half = P([F(1, 2), -2, 0, F(3, 4)]), P([4, F(-5, 6), 5]), F(1, 2)
+    monkeypatch.setattr(F, "__new__", staticmethod(refuse))
+    results = [p + q, p - q, -p, p * q, half * p, p + half, 3 - p, p**3, p.derivative(), p.monic()]
+    results += [*p.even_odd_split(), p.reciprocal(5), interleave(p, q), p.of_x_squared(), p == q, hash(p)]
+    monkeypatch.undo()
+    assert results[3] == P(_schoolbook_product(p, q))
+    assert results[9] == p * F(4, 3) and results[12] == P([0, 0, F(3, 4), 0, -2, F(1, 2)])
 
 
 def test_scalar_and_pow():
@@ -166,6 +185,28 @@ def test_evaluate_at_zero_is_constant_term():
     assert P([1, 4, 1])(F(1, 2)) == F(13, 4)
 
 
+def _fraction_horner(p, x):
+    acc = F(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+# large numerators and denominators next to small ones, zero, and ints
+wide_rationals = st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+eval_coeffs = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=12) | wide_rationals
+eval_points = st.just(0) | st.integers(-50, 50) | st.fractions(-9, 9, max_denominator=12) | wide_rationals
+
+
+@given(st.lists(eval_coeffs, max_size=7).map(P), eval_points)
+@settings(max_examples=300, deadline=None)
+def test_evaluation_matches_fraction_horner(p, x):
+    # the zero polynomial (empty list) and constants (one coefficient) included
+    value = p(x)
+    assert value == _fraction_horner(p, x)
+    assert type(value) is F
+
+
 # ---------------------------------------------------------------------------
 # division and gcd
 
@@ -236,6 +277,31 @@ def test_mul_matches_schoolbook_fraction_convolution(p, q):
     product = p * q
     assert product.coeffs == tuple(_schoolbook_product(p, q))
     assert all(type(c) is F for c in product.coeffs)
+
+
+def _assert_canonical(r):
+    rebuilt = P(r.coeffs)
+    assert rebuilt == r and hash(rebuilt) == hash(r)
+
+
+def test_equal_values_built_by_different_routes_are_equal():
+    routes = [P([F(1, 2), 1]) * 2, P([1, 2]), P([2, 4]).monic() * 2, P([F(3, 2), 3]) * F(2, 3)]
+    routes += [P([F(1, 3), 1]) + P([F(2, 3), 1]), interleave(P([1]), P([2])), P([4, 2]).reciprocal(1) * F(1, 2)]
+    assert len(set(routes)) == 1
+    assert all(r == routes[1] and hash(r) == hash(routes[1]) for r in routes)
+
+
+@given(product_factors, product_factors, rationals | st.integers(-5, 5))
+@settings(max_examples=150, deadline=None)
+def test_every_ring_operation_returns_canonical_form(p, q, c):
+    results = [p + q, p - q, -p, p * q, p * c, c * p, p + c, c - p, p**2, p.derivative()]
+    results += [*p.even_odd_split(), interleave(p, q), p.of_x_squared()]
+    if not p.is_zero:
+        results += [p.reciprocal(p.degree + 1), p.monic(), poly_gcd(p, q)]
+    if not q.is_zero:
+        results += list(divmod(p, q))
+    for r in results:
+        _assert_canonical(r)
 
 
 @given(polys)

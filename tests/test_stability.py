@@ -611,6 +611,29 @@ def test_stable_certificate_isolates_only_when_read(monkeypatch):
     assert ev.odd_part_roots == locate(ev.odd_part, None) and located == [ev.even_part, ev.odd_part]
 
 
+def test_decisions_read_no_fraction_coefficients(monkeypatch):
+    # Every decision runs on integer rows; `coeffs` builds Fractions for
+    # output only, so reading it anywhere on a decision path is refused.
+    def refuse(self):
+        raise AssertionError("a decision read Polynomial.coeffs")
+
+    monkeypatch.setattr(Polynomial, "coeffs", property(refuse))
+    for n in (3, 6, 9, 12):
+        for k in default_k_grid(n)[::3]:
+            p = stability_family(n, k)
+            assert hermite_biehler_weakly_stable(p).verdict == WEAKLY_STABLE
+            is_real_rooted(p)
+        conj = lab.conjectured_threshold(n)
+        for k, verdict in ((conj + F(1, 1000), STRICTLY_STABLE), (conj - F(1, 1000), UNSTABLE)):
+            assert is_strictly_hurwitz_stable(stability_family(n, k)).verdict == verdict
+    for n in range(2, 10):
+        d, ab = eulerian_d(n), affine_b(n)
+        assert is_real_rooted(d) and is_real_rooted(ab) and interlaces(d, ab)
+    # Failing verdicts name their conditions on rows too.
+    for p in (stability_family(5, F(-15, 2)), P([1, 1]) ** 3 * P([-1, 1]), P([-1, 0, 1, 2])):
+        assert hermite_biehler_weakly_stable(p).verdict == UNSTABLE
+
+
 def test_interlacing_failure_builds_one_part_sequence(monkeypatch):
     built = []
     remainder_rows = stability._remainder_rows
