@@ -26,12 +26,11 @@ fails; a failure always means an implementation bug, not bad input.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _from_row
 
 _X = Polynomial.x()
 _ONE_PLUS_X = Polynomial([1, 1])
@@ -61,26 +60,36 @@ class HalfPair(NamedTuple):
     minus: Polynomial
 
 
-@dataclasses.dataclass(frozen=True)
-class FamilyId:
-    """A polynomial family tag plus a rank inside its domain: the tag is one
-    of FAMILIES and the rank is at least that family's lowest rank."""
-
+class _FamilyIdFields(NamedTuple):
     tag: str
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.tag not in _FAMILIES:
-            raise ValueError(f"unknown family {self.tag!r}; expected one of {FAMILIES}")
-        lowest = _FAMILIES[self.tag][0]
-        if self.rank < lowest:
-            raise ValueError(f"family {self.tag} needs rank >= {lowest}, got {self.rank}")
+
+class FamilyId(_FamilyIdFields):
+    """A polynomial family tag plus a rank inside its domain: the tag is one
+    of FAMILIES and the rank is at least that family's lowest rank."""
+
+    __slots__ = ()
+
+    def __new__(cls, tag: str, rank: int) -> "FamilyId":
+        if tag not in _FAMILIES:
+            raise ValueError(f"unknown family {tag!r}; expected one of {FAMILIES}")
+        lowest = _FAMILIES[tag][0]
+        if rank < lowest:
+            raise ValueError(f"family {tag} needs rank >= {lowest}, got {rank}")
+        return super().__new__(cls, tag, rank)
 
 
 # A_m at index m for the ranks asked for so far and the rank below each,
 # None for the ranks passed through on the way: keeping every rank would
 # grow memory cubically.
 _A_RANKS: List[Optional[Polynomial]] = [Polynomial.one()]
+
+
+def _a_step(row: Sequence[int], s: int) -> List[int]:
+    """A_s's integer row from A_(s-1)'s, by the module recurrence read off
+    coefficient by coefficient: a_k <- (k+1)*a_k + (s-k+1)*a_(k-1)."""
+    return [(k + 1) * c + (s - k + 1) * d for k, (c, d) in enumerate(zip([*row, 0], [0, *row]))]
 
 
 def eulerian_a(m: int) -> Polynomial:
@@ -91,14 +100,15 @@ def eulerian_a(m: int) -> Polynomial:
         raise ValueError("type-A index must be nonnegative")
     _A_RANKS.extend([None] * (m + 1 - len(_A_RANKS)))
     r = next(r for r in range(m, -1, -1) if _A_RANKS[r] is not None)
-    a = _A_RANKS[r]
-    for r in range(r + 1, m + 1):
-        if r == m:
+    row = _A_RANKS[r]._row
+    for s in range(r + 1, m + 1):
+        if s == m and _A_RANKS[m - 1] is None:
             # Keep A_(m-1) too: every rank-n family reads A_(n-1) and A_(n-2).
-            _A_RANKS[m - 1] = a
-        a = Polynomial([1, r]) * a - Polynomial([0, -1, 1]) * a.derivative()
-    _A_RANKS[m] = a
-    return a
+            _A_RANKS[m - 1] = _from_row(row)
+        row = _a_step(row, s)
+    if r < m:
+        _A_RANKS[m] = _from_row(row)
+    return _A_RANKS[m]
 
 
 @functools.cache
@@ -175,21 +185,19 @@ def family_polynomial(fid: FamilyId) -> Polynomial:
     return _FAMILIES[fid.tag][1](fid.rank)
 
 
-@dataclasses.dataclass(frozen=True)
-class ZigzagTable:
-    """Euler zigzag numbers E_0..E_n (counts of up-down permutations)."""
+class ZigzagTable(tuple):
+    """Euler zigzag numbers E_0..E_n (counts of up-down permutations), as a
+    tuple of ints."""
 
-    values: Tuple[int, ...]
+    __slots__ = ()
 
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-    def __len__(self) -> int:
-        return len(self.values)
+    @property
+    def values(self) -> Tuple[int, ...]:
+        return tuple(self)
 
     def ratio(self, n: int) -> Fraction:
         """E_n / E_{n-1} as an exact rational."""
-        return Fraction(self.values[n], self.values[n - 1])
+        return Fraction(self[n], self[n - 1])
 
 
 def zigzag(n: int) -> ZigzagTable:
@@ -208,4 +216,4 @@ def zigzag(n: int) -> ZigzagTable:
             new.append(new[-1] + v)
         row = new
         values.append(row[-1])
-    return ZigzagTable(tuple(values))
+    return ZigzagTable(values)

@@ -25,11 +25,10 @@ non-monotone stability grid) raise.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from fractions import Fraction
 from math import comb
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .eulerian import (
     affine_b,
@@ -66,14 +65,22 @@ class MonotonicityError(RuntimeError):
     bisection would be meaningless."""
 
 
-@dataclasses.dataclass
 class VerificationReport:
-    check_id: str
-    rank_range: Tuple[int, int]
-    failures: List[Tuple[int, str]] = dataclasses.field(default_factory=list)
-    observations: List[str] = dataclasses.field(default_factory=list)
-    checks_run: int = 0
-    elapsed: float = 0.0
+    """One check's outcome over a rank range; each failure is (rank, message)."""
+
+    def __init__(
+        self, check_id: str, rank_range: Tuple[int, int], failures: Optional[List[Tuple[int, str]]] = None,
+        observations: Optional[List[str]] = None, checks_run: int = 0, elapsed: float = 0.0,
+    ) -> None:
+        self.check_id = check_id
+        self.rank_range = rank_range
+        self.failures = [] if failures is None else failures
+        self.observations = [] if observations is None else observations
+        self.checks_run = checks_run
+        self.elapsed = elapsed
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(self) == vars(other)
 
     @property
     def status(self) -> str:
@@ -85,8 +92,7 @@ class VerificationReport:
             self.failures.append((rank, message))
 
 
-@dataclasses.dataclass(frozen=True)
-class ThresholdBracket:
+class ThresholdBracket(NamedTuple):
     """Rational bracket around the strict-stability threshold in k.
 
     upper is strictly stable, lower is not; the conjectured threshold is

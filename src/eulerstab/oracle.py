@@ -29,10 +29,9 @@ A budget guard refuses group orders that are too large to enumerate.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from math import factorial
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 from .polynomial import Polynomial
 
@@ -57,19 +56,22 @@ class BudgetExceededError(RuntimeError):
     """The requested enumeration is larger than the configured budget."""
 
 
-@dataclasses.dataclass(frozen=True)
-class SignedPerm:
-    """Signed permutation in window notation."""
-
+class _SignedPermFields(NamedTuple):
     window: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        w = tuple(self.window)
-        object.__setattr__(self, "window", w)
+
+class SignedPerm(_SignedPermFields):
+    """Signed permutation in window notation."""
+
+    __slots__ = ()
+
+    def __new__(cls, window: Iterable[int]) -> "SignedPerm":
+        w = tuple(window)
         if sorted(abs(v) for v in w) != list(range(1, len(w) + 1)):
             raise ValueError(
                 "window entries must be nonzero and cover 1..n in absolute value"
             )
+        return super().__new__(cls, w)
 
     @property
     def n(self) -> int:

@@ -57,10 +57,9 @@ fields are built when first read.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .polynomial import (
     Polynomial,
@@ -82,18 +81,27 @@ _ZERO = Fraction(0)
 # Sturm chains
 
 
-@dataclasses.dataclass(frozen=True)
-class SturmChain:
+class SturmChain(NamedTuple):
     """Sturm sequence of a nonzero polynomial.
 
     polys holds p, p', then the negated remainders; rows holds their
     primitive integer coefficient vectors, on which every sign is evaluated.
     The remainders are primitive pseudo-remainders computed on integer rows:
     positive multiples of the rational remainders, so every sign is kept.
+    Equality and hash read polys alone, which determine the rows.
     """
 
     polys: Tuple[Polynomial, ...]
-    rows: Tuple[Tuple[int, ...], ...] = dataclasses.field(repr=False, compare=False)
+    rows: Tuple[Tuple[int, ...], ...]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SturmChain) and self.polys == other.polys
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self.polys)
 
     def variations(self, point: Scalar) -> int:
         """Sign variations of the chain at a rational point."""
@@ -184,8 +192,7 @@ def squarefree_decompose(p: Polynomial) -> Tuple[Tuple[Polynomial, int], ...]:
 # root isolation
 
 
-@dataclasses.dataclass(frozen=True)
-class IsolatedRoot:
+class IsolatedRoot(NamedTuple):
     """One distinct real root: either an exact rational point (lo == hi) or
     an open interval (lo, hi) containing exactly one root."""
 
@@ -202,21 +209,19 @@ class IsolatedRoot:
         return (self.lo + self.hi) / 2
 
 
-@dataclasses.dataclass(frozen=True)
-class RootIsolation:
-    """Sorted, pairwise disjoint isolating locations with multiplicities."""
+class RootIsolation(tuple):
+    """Sorted, pairwise disjoint isolating locations with multiplicities, as
+    a tuple of IsolatedRoot."""
 
-    roots: Tuple[IsolatedRoot, ...]
+    __slots__ = ()
+
+    @property
+    def roots(self) -> Tuple[IsolatedRoot, ...]:
+        return tuple(self)
 
     @property
     def total_multiplicity(self) -> int:
-        return sum(r.multiplicity for r in self.roots)
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __len__(self) -> int:
-        return len(self.roots)
+        return sum(r.multiplicity for r in self)
 
 
 # Stopping width for refining an isolating interval (a, b): refinement
@@ -333,7 +338,7 @@ def _locate(p: Polynomial, width: Optional[_Width]) -> RootIsolation:
             if owners[:1] != [0]:
                 raise RuntimeError("internal error: isolated root matches no factor")
             located.append((a, b, 1 + owners[-1]))
-    return RootIsolation(tuple([IsolatedRoot(*r) for r in sorted(located)]))
+    return RootIsolation([IsolatedRoot(*r) for r in sorted(located)])
 
 
 def isolate_real_roots(
@@ -412,19 +417,22 @@ def interlaces(g: Polynomial, f: Polynomial) -> bool:
 # stability certificates
 
 
-@dataclasses.dataclass(frozen=True)
-class HermiteBiehlerEvidence:
+# The evidence classes add no __slots__: cached_property keeps what it
+# builds in the instance dict.
+class _HermiteBiehlerFields(NamedTuple):
+    even_part: Optional[Polynomial]
+    odd_part: Optional[Polynomial]
+    interlacing: Optional[bool]
+    detail: str = ""
+
+
+class HermiteBiehlerEvidence(_HermiteBiehlerFields):
     """Witness data for a weak-stability verdict: the even and odd parts
     (None for a part that vanishes identically), the interlacing outcome
     (None when a degenerate split or an earlier failure made it
     inapplicable) and the failed conditions.  The parts' real-root
     isolations, even_part_roots and odd_part_roots, are built when first
     read; no verdict needs them."""
-
-    even_part: Optional[Polynomial]
-    odd_part: Optional[Polynomial]
-    interlacing: Optional[bool]
-    detail: str = ""
 
     @functools.cached_property
     def even_part_roots(self) -> Optional[RootIsolation]:
@@ -435,20 +443,20 @@ class HermiteBiehlerEvidence:
         return None if self.odd_part is None else _locate(self.odd_part, None)
 
 
-@dataclasses.dataclass(frozen=True)
-class HurwitzEvidence:
+class _HurwitzFields(NamedTuple):
+    polynomial: Polynomial
+
+
+class HurwitzEvidence(_HurwitzFields):
     """Witness data for a strict-stability verdict: the polynomial.  Its
     Hurwitz determinants are built when first read; no verdict needs them."""
-
-    polynomial: Polynomial
 
     @functools.cached_property
     def determinants(self) -> Tuple[Fraction, ...]:
         return hurwitz_determinants(self.polynomial)
 
 
-@dataclasses.dataclass(frozen=True)
-class StabilityCertificate:
+class StabilityCertificate(NamedTuple):
     verdict: str
     evidence: Union[HermiteBiehlerEvidence, HurwitzEvidence]
 

@@ -332,3 +332,20 @@ def test_closed_pipe_exits_quietly():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
     assert b"Traceback" not in err
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize on every start.
+    # -S keeps site-installed .pth hooks, which may import either, out of
+    # the check.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, eulerstab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
