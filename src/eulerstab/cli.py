@@ -126,7 +126,7 @@ def _decimal_str(value: Fraction, digits: int = 20) -> str:
 def polynomial_record(poly: Polynomial, **meta) -> dict:
     rec = {"schema": SCHEMA_VERSION}
     rec.update({k: v for k, v in meta.items() if v is not None})
-    rec["coeffs"] = [str(c) for c in poly.coeffs]
+    rec["coeffs"] = poly.coeff_strings()
     return rec
 
 

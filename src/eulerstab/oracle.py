@@ -15,22 +15,19 @@ from padded-window characterizations:
 Nothing here shares code with `eulerstab.eulerian`, so distribution
 agreement between the two is meaningful evidence that both are right.
 
-Enumeration is exhaustive and deterministic: permutations in lexicographic
-order and, for each one, sign masks in reflected Gray code order, mask bit i
-negating s_{i+1}.  Step t of the code flips bit ctz(t) only, so the padded
-descent count is updated from the two comparisons beside that entry (plus
-the head comparison when the type-D pad -s_2 moves) instead of recounted.
-The last bit flips once, at step 2^(n-1), so the last_positive and
-last_negative filters are the first and second half of the walk; every step
-changes the parity of the mask, so type D is the even steps.  Type A is the
-same walk with no sign bits: one element per permutation.
-A budget guard refuses group orders that are too large to enumerate.
+Enumeration is exhaustive and bit-sliced (Biham, FSE 1997): lane t of an
+int is the t-th permutation of 1..n, in lexicographic order.  Under a fixed
+sign mask each padded pair is a descent on no lane, on every lane, or where
+the absolute values descend (signs +,+) or ascend (signs -,-), so one loop
+over the masks counts the n! elements of each mask at once.  A budget guard
+refuses group orders that are too large to enumerate.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import factorial
+from operator import gt, itemgetter
 from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 from .polynomial import Polynomial
@@ -184,39 +181,42 @@ def distribution(
 
     if group == "A" and filter == "last_negative":
         return Polynomial()
+    # Lane t of each bitset is the t-th permutation; desc[i]: |s_(i+1)| > |s_(i+2)|.
+    to_ascii = bytes.maketrans(b"\0\1", b"01")
+    pairs = (map(itemgetter(i, i + 1), itertools.permutations(range(1, n + 1))) for i in range(n - 1))
+    desc = [int(bytes(itertools.starmap(gt, row)).translate(to_ascii), 2) for row in pairs]
+    everyone = (1 << factorial(n)) - 1
+    asc = [everyone ^ lanes for lanes in desc]
     d_pad = stat == "des_d" or (stat == "des" and group == "D")
-    affine = stat == "affdes"
-    # Type A is the walk with no sign bits.  A filter walks half of the Gray
-    # code: the (n-1)-bit code, whose steps are also steps 2^(n-1)+1.. of the
-    # n-bit one.  Each step is (padded position of the negated entry,
-    # whether the element is counted).
-    bits = 0 if group == "A" else n if filter == "all" else n - 1
-    steps = [((t & -t).bit_length(), group == "B" or t % 2 == 0) for t in range(1, 1 << bits)]
-    head_pos = 2 if d_pad else -1
-
     hist = [0] * (n + 2)
-    for perm in itertools.permutations(range(1, n + 1)):
-        # p = (head, s_1, ..., s_n, n + 1); the sentinel n + 1 adds no descent.
-        p = [0, *perm, n + 1]
-        if filter == "last_negative":
-            # step 2^(n-1): mask 2^(n-2) (the first half's last), plus entry n
-            p[n] = -p[n]
-            if n >= 2:
-                p[n - 1] = -p[n - 1]
-        if d_pad:
-            p[0] = -p[2]
-        k = _descents(p)
-        # node 0: the sign of the entry of smaller absolute value in s_1, s_2
-        m = 2 if affine and perm[1] < perm[0] else 1
-        hist[k + (affine and p[m] > 0)] += 1
-        for j, counted in steps:
-            u, v, x = p[j - 1], p[j], p[j + 1]
-            k += (u > -v) - (u > v) + (-v > x) - (v > x)
-            p[j] = -v
-            if j == head_pos:
-                h = p[0]
-                p[0] = v
-                k += (v > p[1]) - (h > p[1])
-            if counted:
-                hist[k + (affine and p[m] > 0)] += 1
+    # Mask bit i negates s_(i+1); type A is the single mask 0.
+    for mask in range(1 << (0 if group == "A" else n)):
+        neg = [(mask >> i) & 1 for i in range(n)]
+        if (group == "D" and sum(neg) % 2) or (filter != "all" and neg[-1] != (filter == "last_negative")):
+            continue
+        base, indicators = 0, []  # base: the descents on every lane
+        for i in range(n - 1):
+            if neg[i] == neg[i + 1]:
+                indicators.append(asc[i] if neg[i] else desc[i])
+            else:
+                base += neg[i + 1]
+        if d_pad and neg[0] != neg[1]:  # the head (-s_2, s_1)
+            indicators.append(desc[0] if neg[0] else asc[0])
+        else:  # the head (0, s_1), or (-s_2, s_1) with equal signs
+            base += neg[0]
+        if stat == "affdes":  # node 0: the entry of smaller |.| in s_1, s_2 is positive
+            indicators.append((0 if neg[0] else asc[0]) | (0 if neg[1] else desc[0]))
+        # slices[j] holds bit j of every lane's count; split the lanes by count.
+        slices = [0] * (n + 1).bit_length()
+        for carry in indicators:
+            j = 0
+            while carry:
+                slices[j], carry = slices[j] ^ carry, slices[j] & carry
+                j += 1
+        parts = [everyone]
+        for bit in reversed(slices):
+            parts = [part for lanes in parts for part in (lanes & ~bit, lanes & bit)]
+        for v, lanes in enumerate(parts):
+            if lanes:
+                hist[base + v] += lanes.bit_count()
     return Polynomial(hist)

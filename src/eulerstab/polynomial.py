@@ -94,6 +94,12 @@ class Polynomial:
         den = self._den
         return tuple([Fraction(c, den) for c in self._row])
 
+    def coeff_strings(self) -> List[str]:
+        """`str` of each of `coeffs`; an integer row is printed without Fractions."""
+        if self._den == 1:
+            return [str(c) for c in self._row]
+        return [str(c) for c in self.coeffs]
+
     @property
     def degree(self):
         """Degree; NEG_INFINITY for the zero polynomial."""
@@ -122,7 +128,7 @@ class Polynomial:
         return hash((self._row, self._den))
 
     def __repr__(self) -> str:
-        return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"
+        return f"Polynomial([{', '.join(self.coeff_strings())}])"
 
     def __str__(self) -> str:
         if not self._row:

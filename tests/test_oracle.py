@@ -153,22 +153,22 @@ def _naive_elements(group, n):
     return [sp for sp in elements if group == "B" or sp.is_even_signed()]
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_distribution_matches_naive_window_enumeration(n):
-    # Builds every window independently of the Gray-code walk and counts
-    # the public per-element statistics.
+    # Builds every window independently of the oracle's bit-sliced lanes, once
+    # per group, and counts the public per-element statistics.
+    elements = {}
     for (group, stat), (statistic, lowest) in _NAIVE_STATS.items():
         if n < lowest:
             continue
-        elements = _naive_elements(group, n)
-        assert len(elements) == group_order(group, n)
+        if group not in elements:
+            elements[group] = _naive_elements(group, n)
+            assert len(elements[group]) == group_order(group, n)
+        counted = [(statistic(sp.window), sp.window[-1] > 0) for sp in elements[group]]
         for flt in FILTERS:
-            kept = [
-                sp
-                for sp in elements
-                if flt == "all" or (sp.window[-1] > 0) == (flt == "last_positive")
-            ]
-            hist = Counter(statistic(sp.window) for sp in kept)
+            hist = Counter(
+                k for k, last_positive in counted if flt == "all" or last_positive == (flt == "last_positive")
+            )
             want = P([hist[k] for k in range(n + 2)])
             got = distribution(group, stat, n, flt)
             assert got == want, (group, stat, n, flt)

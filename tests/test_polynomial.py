@@ -58,6 +58,13 @@ def test_repr_and_str():
     assert str(P()) == "0"
 
 
+@pytest.mark.parametrize("coeffs", [[], [1, -4, 0, 2], [F(1, 2), 3, F(-5, 4)], [F(4, 2), 7], [10**40, -1]])
+def test_coeff_strings_are_str_of_each_coefficient(coeffs):
+    p = P(coeffs)
+    assert p.coeff_strings() == [str(c) for c in p.coeffs]
+    assert repr(p) == f"Polynomial([{', '.join(str(c) for c in p.coeffs)}])"
+
+
 # ---------------------------------------------------------------------------
 # ring operations
 
