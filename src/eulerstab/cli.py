@@ -26,17 +26,21 @@ import decimal
 import io
 import json
 import os
-import random
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from . import lab, oracle
 from .eulerian import FAMILIES, ConsistencyError, FamilyId, ZigzagTable, family_polynomial, zigzag
-from .lab import BracketError, MonotonicityError, ThresholdBracket, VerificationReport
-from .oracle import BudgetExceededError
 from .polynomial import Polynomial
-from .stability import approximate_real_roots
+
+# For annotations only: lab, stability and random load inside the commands
+# that run them, and oracle inside the parser, so that `gen` and `zigzag`
+# start without lab and stability.
+if TYPE_CHECKING:
+    import random
+    from types import ModuleType
+
+    from .lab import ThresholdBracket, VerificationReport
 
 SCHEMA_VERSION = 1
 FORMATS = ("text", "json", "csv")
@@ -63,6 +67,8 @@ def _parse_rational_list(text: str) -> List[Fraction]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import oracle
+
     parser = argparse.ArgumentParser(
         prog="eulerstab",
         description="Exact Eulerian polynomial families, enumeration oracles, and stability certificates.",
@@ -237,12 +243,13 @@ def _zigzags_table(tables: List[ZigzagTable]):
     return header, [[str(v) for v in t.values] for t in tables]
 
 
-# Per kind: (JSON record, text of one item, CSV header and rows of all items).
+# Per kind, by class name so that emitting needs no layer the command did not
+# run: (JSON record, text of one item, CSV header and rows of all items).
 _KINDS = {
-    dict: (lambda rec: rec, _polynomial_text, _polynomials_table),
-    VerificationReport: (report_record, _report_text, _reports_table),
-    ThresholdBracket: (bracket_record, _bracket_text, _brackets_table),
-    ZigzagTable: (zigzag_record, _zigzag_text, _zigzags_table),
+    "dict": (lambda rec: rec, _polynomial_text, _polynomials_table),
+    "VerificationReport": (report_record, _report_text, _reports_table),
+    "ThresholdBracket": (bracket_record, _bracket_text, _brackets_table),
+    "ZigzagTable": (zigzag_record, _zigzag_text, _zigzags_table),
 }
 
 
@@ -261,7 +268,7 @@ def emit(obj, fmt: str, *, summary: bool = False, **meta) -> str:
     if isinstance(obj, Polynomial):
         obj = polynomial_record(obj, **meta)
     items = obj if isinstance(obj, list) else [obj]
-    kind = _KINDS.get(type(items[0])) if items else None
+    kind = _KINDS.get(type(items[0]).__name__) if items else None
     if kind is None:
         raise TypeError(f"cannot emit {type(obj).__name__}")
     to_record, to_text, to_table = kind
@@ -299,6 +306,8 @@ def _failed(reports: List[VerificationReport]) -> bool:
 
 
 def _root_lines(poly: Polynomial) -> List[str]:
+    from .stability import approximate_real_roots
+
     if poly.degree < 1:
         return ["  no real roots"]
     return [
@@ -322,20 +331,27 @@ def _cmd_gen(ns: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_oracle(ns: argparse.Namespace) -> tuple[str, int]:
-    records = [
-        polynomial_record(
-            oracle.distribution(ns.group, ns.stat, n, ns.filter, budget=ns.budget),
-            group=ns.group,
-            stat=ns.stat,
-            filter=ns.filter,
-            n=n,
-        )
-        for n in _ranks(ns)
-    ]
+    from . import oracle
+
+    try:
+        records = [
+            polynomial_record(
+                oracle.distribution(ns.group, ns.stat, n, ns.filter, budget=ns.budget),
+                group=ns.group,
+                stat=ns.stat,
+                filter=ns.filter,
+                n=n,
+            )
+            for n in _ranks(ns)
+        ]
+    except oracle.BudgetExceededError as exc:
+        raise ValueError(str(exc)) from exc
     return emit(records, ns.fmt), 0
 
 
-def _operator_reports(n: int, ks: Optional[List[Fraction]], rng: random.Random) -> List[VerificationReport]:
+def _operator_reports(
+    lab: ModuleType, n: int, ks: Optional[List[Fraction]], rng: random.Random
+) -> List[VerificationReport]:
     if ks is None:
         ks = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(3)]
     return [lab.operator_symbol_check(n, k) for k in ks]
@@ -343,10 +359,11 @@ def _operator_reports(n: int, ks: Optional[List[Fraction]], rng: random.Random) 
 
 # The reports of each per-rank verify check at rank n, from --ks or, when ks
 # is None, from the check's own k: the default grid, or three seeded draws.
+# Each takes the lab module first, which the verify command imports.
 _RANK_CHECKS = {
-    "interlacing": lambda n, ks, rng: [lab.verify_d_affine_b(n)],
-    "half-reciprocal": lambda n, ks, rng: [lab.verify_half_reciprocal(n)],
-    "stability": lambda n, ks, rng: [
+    "interlacing": lambda lab, n, ks, rng: [lab.verify_d_affine_b(n)],
+    "half-reciprocal": lambda lab, n, ks, rng: [lab.verify_half_reciprocal(n)],
+    "stability": lambda lab, n, ks, rng: [
         lab.verify_family_stability(n, lab.default_k_grid(n) if ks is None else ks)
     ],
     "operator-symbol": _operator_reports,
@@ -361,12 +378,16 @@ def _verify_reports(ns: argparse.Namespace) -> List[VerificationReport]:
     for check in wanted:
         if n_max < _CHECK_MIN_RANK[check]:
             raise ValueError(f"check {check} needs --n-max >= {_CHECK_MIN_RANK[check]}, got {n_max}")
+    import random
+
+    from . import lab
+
     per_rank = {check: [] for check in wanted if check in _RANK_CHECKS}
     rng = random.Random(_OPERATOR_SEED)
     for n in range(n_max + 1):
         for check, reports in per_rank.items():
             if n >= _CHECK_MIN_RANK[check]:
-                reports += _RANK_CHECKS[check](n, ns.ks, rng)
+                reports += _RANK_CHECKS[check](lab, n, ns.ks, rng)
     # Each merged report keeps the check id of its per-rank reports.
     return [
         lab.merge_reports(per_rank[check][0].check_id, per_rank[check])
@@ -382,11 +403,17 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_scan(ns: argparse.Namespace) -> tuple[str, int]:
+    from . import lab
+
     if ns.conjecture == "stable":
         if ns.ks is not None:
             raise ValueError("--ks has no effect on --conjecture stable")
         width = Fraction(1, 10**6) if ns.width is None else ns.width
-        return emit([lab.critical_k(n, width) for n in _ranks(ns)], ns.fmt), 0
+        try:
+            brackets = [lab.critical_k(n, width) for n in _ranks(ns)]
+        except (lab.BracketError, lab.MonotonicityError) as exc:
+            return f"FAIL {exc}", 1
+        return emit(brackets, ns.fmt), 0
     if ns.width is not None:
         raise ValueError("--width has no effect on --conjecture distinct-roots")
     reports = [
@@ -424,10 +451,10 @@ def run(argv: Sequence[str]) -> int:
         sys.set_int_max_str_digits(0)
     try:
         out, code = _COMMANDS[ns.subcommand](ns)
-    except (ValueError, BudgetExceededError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BracketError, MonotonicityError, ConsistencyError) as exc:
+    except ConsistencyError as exc:
         print(f"FAIL {exc}")
         return 1
     if out:

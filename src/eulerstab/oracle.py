@@ -16,19 +16,24 @@ Nothing here shares code with `eulerstab.eulerian`, so distribution
 agreement between the two is meaningful evidence that both are right.
 
 Enumeration is exhaustive and bit-sliced (Biham, FSE 1997): lane t of an
-int is the t-th permutation of 1..n, in lexicographic order.  Under a fixed
-sign mask each padded pair is a descent on no lane, on every lane, or where
-the absolute values descend (signs +,+) or ascend (signs -,-), so one loop
-over the masks counts the n! elements of each mask at once.  A budget guard
-refuses group orders that are too large to enumerate.
+int is the t-th permutation of 1..n, in lexicographic order, lane 0 in the
+top bit.  The lanes where a pair of adjacent absolute values descends are
+built from the block structure of that order, without visiting any
+permutation: the permutations of 1..m fall into m blocks of (m-1)! lanes,
+one per first letter a, and each block lists the permutations of the other
+letters in lexicographic order.  A descent depends only on relative order,
+so a pair i >= 1 repeats rank m - 1's lanes of pair i - 1 in every block,
+and pair 0 descends on the first (a-1)*(m-2)! lanes of block a.  Under a
+fixed sign mask each padded pair is a descent on no lane, on every lane, or
+where the absolute values descend (signs +,+) or ascend (signs -,-), so one
+loop over the masks counts the n! elements of each mask at once.  A budget
+guard refuses group orders that are too large to enumerate.
 """
 
 from __future__ import annotations
 
-import itertools
 from math import factorial
-from operator import gt, itemgetter
-from typing import Iterable, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .polynomial import Polynomial
 
@@ -145,6 +150,25 @@ def group_order(group: str, n: int) -> int:
     return 2 ** (n - 1) * factorial(n)
 
 
+def _descent_lanes(n: int) -> List[int]:
+    """desc[i]: the lanes, one per permutation of 1..n in lexicographic order
+    with lane 0 in the top bit, on which |s_(i+1)| > |s_(i+2)|."""
+    desc: List[int] = []
+    for m in range(2, n + 1):  # from rank m - 1's lanes to rank m's
+        width, run = factorial(m - 1), factorial(m - 2)
+        head = 0  # block a + 1 descends at pair 0 on its first a * run lanes
+        for a in range(m):
+            head = (head << width) | ((1 << a * run) - 1) << (width - a * run)
+        # One copy of the rank-(m - 1) lanes per block; big-int products
+        # would be super-linear, byte and bit-string copies are linear.
+        if width % 8:
+            desc = [int(f"{lanes:0{width}b}" * m, 2) for lanes in desc]
+        else:
+            desc = [int.from_bytes(lanes.to_bytes(width // 8, "big") * m, "big") for lanes in desc]
+        desc.insert(0, head)
+    return desc
+
+
 def distribution(
     group: str,
     stat: str,
@@ -181,10 +205,7 @@ def distribution(
 
     if group == "A" and filter == "last_negative":
         return Polynomial()
-    # Lane t of each bitset is the t-th permutation; desc[i]: |s_(i+1)| > |s_(i+2)|.
-    to_ascii = bytes.maketrans(b"\0\1", b"01")
-    pairs = (map(itemgetter(i, i + 1), itertools.permutations(range(1, n + 1))) for i in range(n - 1))
-    desc = [int(bytes(itertools.starmap(gt, row)).translate(to_ascii), 2) for row in pairs]
+    desc = _descent_lanes(n)
     everyone = (1 << factorial(n)) - 1
     asc = [everyone ^ lanes for lanes in desc]
     d_pad = stat == "des_d" or (stat == "des" and group == "D")

@@ -119,9 +119,10 @@ def test_oracle_matches_generator():
     assert polynomial_from_record(json.loads(out)) == eulerian_b(3)
 
 
-def test_oracle_budget_exit_2():
-    code, _ = _capture(["oracle", "--group", "B", "--stat", "des", "--n", "12", "--budget", "100"])
-    assert code == 2
+def test_oracle_budget_exit_2(capsys):
+    code, out = _capture(["oracle", "--group", "B", "--stat", "des", "--n", "12", "--budget", "100"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: group order at rank 12 exceeds the enumeration budget 100\n"
 
 
 def test_oracle_incompatible_exit_2():
@@ -302,6 +303,15 @@ def test_ignored_flag_exit_2(argv, flag, capsys):
     assert f"{flag} has no effect" in err
 
 
+def test_scan_stable_bracket_failure_exit_1(monkeypatch):
+    def refuse(n, width):
+        raise lab.BracketError(f"n={n}: expected strict stability at k=0")
+
+    monkeypatch.setattr(lab, "critical_k", refuse)
+    code, out = _capture(["scan", "--conjecture", "stable", "--n", "3"])
+    assert (code, out) == (1, "FAIL n=3: expected strict stability at k=0\n")
+
+
 def test_scan_stable_default_width_is_one_millionth():
     argv = ["scan", "--conjecture", "stable", "--n", "3", "--n-max", "4", "--format", "json"]
     code, out = _capture(argv)
@@ -334,13 +344,13 @@ def test_closed_pipe_exits_quietly():
     assert b"Traceback" not in err
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # dataclasses pulls in inspect, ast, dis and tokenize on every start.
-    # -S keeps site-installed .pth hooks, which may import either, out of
-    # the check.
+def _loaded_after(code, modules):
+    # The sorted subset of `modules` that a fresh interpreter has loaded after
+    # running `code`.  -S keeps site-installed .pth hooks, which may import
+    # any of them, out of the check.
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, eulerstab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    out = subprocess.run(
+    code += f"\nimport sys; print(sorted({set(modules)!r} & set(sys.modules)))"
+    return subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
@@ -348,4 +358,19 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         timeout=60,
         check=True,
     ).stdout
-    assert out == "[]\n"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize on every start.
+    assert _loaded_after("import eulerstab.cli", ["dataclasses", "inspect"]) == "[]\n"
+
+
+def test_cli_import_loads_no_layer_before_its_command():
+    layers = ["eulerstab.lab", "eulerstab.oracle", "eulerstab.stability"]
+    assert _loaded_after("import eulerstab.cli", layers) == "[]\n"
+    # The parser reads the oracle's choices; gen and zigzag run neither lab
+    # nor stability.
+    quiet = "import contextlib, io, eulerstab.cli as c; f = io.StringIO()"
+    runs = "c.run(['zigzag', '--n', '5']); c.run(['gen', '--family', 'B', '--n', '4', '--format', 'csv'])"
+    out = _loaded_after(f"{quiet}\nwith contextlib.redirect_stdout(f): {runs}", layers)
+    assert out == "['eulerstab.oracle']\n"

@@ -1,7 +1,8 @@
 """Window-notation statistics and exhaustive distributions."""
 
 from collections import Counter
-from itertools import permutations, product
+from itertools import permutations, product, starmap
+from operator import gt, itemgetter
 
 import pytest
 
@@ -178,6 +179,19 @@ def test_distribution_matches_naive_window_enumeration(n):
             elif flt != "all":
                 order //= 2
             assert sum(got.coeffs) == order, (group, stat, n, flt)
+
+
+def _reference_lanes(n):
+    # One pass over the permutations per adjacent pair: lane t, counted from
+    # the top bit, is 1 where the t-th permutation descends at that pair.
+    to_ascii = bytes.maketrans(b"\0\1", b"01")
+    pairs = (map(itemgetter(i, i + 1), permutations(range(1, n + 1))) for i in range(n - 1))
+    return [int(bytes(starmap(gt, row)).translate(to_ascii), 2) for row in pairs]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_descent_lanes_match_permutation_comparisons(n):
+    assert oracle._descent_lanes(n) == _reference_lanes(n)
 
 
 def test_budget_guard():
