@@ -25,9 +25,11 @@ letters in lexicographic order.  A descent depends only on relative order,
 so a pair i >= 1 repeats rank m - 1's lanes of pair i - 1 in every block,
 and pair 0 descends on the first (a-1)*(m-2)! lanes of block a.  Under a
 fixed sign mask each padded pair is a descent on no lane, on every lane, or
-where the absolute values descend (signs +,+) or ascend (signs -,-), so one
-loop over the masks counts the n! elements of each mask at once.  A budget
-guard refuses group orders that are too large to enumerate.
+where the absolute values descend (signs +,+) or ascend (signs -,-).  One
+loop over the masks counts the n! elements of each mask at once, sorting
+the lanes into descent classes: each pair moves the lanes it descends on
+up one class.  A budget guard refuses group orders that are too large to
+enumerate.
 """
 
 from __future__ import annotations
@@ -215,29 +217,25 @@ def distribution(
         neg = [(mask >> i) & 1 for i in range(n)]
         if (group == "D" and sum(neg) % 2) or (filter != "all" and neg[-1] != (filter == "last_negative")):
             continue
-        base, indicators = 0, []  # base: the descents on every lane
+        # base: the descents on every lane; indicators: (lanes with, lanes
+        # without) one more descent.
+        base, indicators = 0, []
         for i in range(n - 1):
             if neg[i] == neg[i + 1]:
-                indicators.append(asc[i] if neg[i] else desc[i])
+                indicators.append((asc[i], desc[i]) if neg[i] else (desc[i], asc[i]))
             else:
                 base += neg[i + 1]
         if d_pad and neg[0] != neg[1]:  # the head (-s_2, s_1)
-            indicators.append(desc[0] if neg[0] else asc[0])
+            indicators.append((desc[0], asc[0]) if neg[0] else (asc[0], desc[0]))
         else:  # the head (0, s_1), or (-s_2, s_1) with equal signs
             base += neg[0]
         if stat == "affdes":  # node 0: the entry of smaller |.| in s_1, s_2 is positive
-            indicators.append((0 if neg[0] else asc[0]) | (0 if neg[1] else desc[0]))
-        # slices[j] holds bit j of every lane's count; split the lanes by count.
-        slices = [0] * (n + 1).bit_length()
-        for carry in indicators:
-            j = 0
-            while carry:
-                slices[j], carry = slices[j] ^ carry, slices[j] & carry
-                j += 1
+            on = (0 if neg[0] else asc[0]) | (0 if neg[1] else desc[0])
+            indicators.append((on, everyone ^ on))
+        # parts[v]: the lanes with v descents among the indicators so far.
         parts = [everyone]
-        for bit in reversed(slices):
-            parts = [part for lanes in parts for part in (lanes & ~bit, lanes & bit)]
+        for on, off in indicators:
+            parts = [(a & off) | (b & on) for a, b in zip(parts + [0], [0] + parts)]
         for v, lanes in enumerate(parts):
-            if lanes:
-                hist[base + v] += lanes.bit_count()
+            hist[base + v] += lanes.bit_count()
     return Polynomial(hist)

@@ -88,20 +88,25 @@ def test_criterion_02_oracle_equivalence():
 
     for m in range(1, ORACLE_A_LETTERS + 1):
         check(f"A letters={m}", distribution("A", "des", m), eulerian_a(m - 1))
+        check(f"A+ letters={m}", distribution("A", "des", m, "last_positive"), eulerian_a(m - 1))
     for n in range(1, ORACLE_MAX + 1):
         check(f"B n={n}", oracle("B", "des", n), eulerian_b(n))
         check(f"B+ n={n}", oracle("B", "des", n, "last_positive"), half_b(n).plus)
         check(f"B- n={n}", oracle("B", "des", n, "last_negative"), half_b(n).minus)
     for n in range(2, ORACLE_MAX + 1):
+        halves = half_d(n)
+        affine_halves = oracle("B", "affdes", n, "last_positive") + oracle("B", "affdes", n, "last_negative")
         check(f"affine-B n={n}", oracle("B", "affdes", n), affine_b(n))
+        check(f"affine-B+ + affine-B- n={n}", affine_halves, affine_b(n))
         check(f"D n={n}", oracle("D", "des", n), eulerian_d(n))
-        check(f"D+ n={n}", oracle("D", "des", n, "last_positive"), half_d(n).plus)
-        check(f"D- n={n}", oracle("D", "des", n, "last_negative"), half_d(n).minus)
-        check(
-            f"2D+ over sign-filtered B n={n}",
-            oracle("B", "des_d", n, "last_positive"),
-            2 * half_d(n).plus,
-        )
+        check(f"D+ n={n}", oracle("D", "des", n, "last_positive"), halves.plus)
+        check(f"D- n={n}", oracle("D", "des", n, "last_negative"), halves.minus)
+        check(f"D by des_d n={n}", oracle("D", "des_d", n), eulerian_d(n))
+        check(f"D+ by des_d n={n}", oracle("D", "des_d", n, "last_positive"), halves.plus)
+        check(f"D- by des_d n={n}", oracle("D", "des_d", n, "last_negative"), halves.minus)
+        check(f"2D over B by des_d n={n}", oracle("B", "des_d", n), 2 * eulerian_d(n))
+        check(f"2D+ over sign-filtered B n={n}", oracle("B", "des_d", n, "last_positive"), 2 * halves.plus)
+        check(f"2D- over sign-filtered B n={n}", oracle("B", "des_d", n, "last_negative"), 2 * halves.minus)
     _finish(f"2 oracle-equivalence A letters<={ORACLE_A_LETTERS}, B/D ranks<={ORACLE_MAX}", failures, started)
 
 

@@ -374,3 +374,10 @@ def test_cli_import_loads_no_layer_before_its_command():
     runs = "c.run(['zigzag', '--n', '5']); c.run(['gen', '--family', 'B', '--n', '4', '--format', 'csv'])"
     out = _loaded_after(f"{quiet}\nwith contextlib.redirect_stdout(f): {runs}", layers)
     assert out == "['eulerstab.oracle']\n"
+
+
+def test_oracle_import_loads_no_closed_form_layer():
+    # The oracle is ground truth only while it shares no code with the
+    # closed-form generators or the layers built on them.
+    layers = ["eulerstab.eulerian", "eulerstab.lab", "eulerstab.stability"]
+    assert _loaded_after("import eulerstab.oracle", layers) == "[]\n"

@@ -156,8 +156,8 @@ def _naive_elements(group, n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_distribution_matches_naive_window_enumeration(n):
-    # Builds every window independently of the oracle's bit-sliced lanes, once
-    # per group, and counts the public per-element statistics.
+    # Builds every window independently of the oracle's lanes and descent
+    # classes, once per group, and counts the public per-element statistics.
     elements = {}
     for (group, stat), (statistic, lowest) in _NAIVE_STATS.items():
         if n < lowest:
