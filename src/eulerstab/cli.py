@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .eulerian import FAMILIES, ConsistencyError, FamilyId, ZigzagTable, family_polynomial, zigzag
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _terms_text
 
 # For annotations only: lab, stability and random load inside the commands
 # that run them, and oracle inside the parser, so that `gen` and `zigzag`
@@ -173,12 +173,12 @@ def zigzag_record(table: ZigzagTable) -> dict:
 
 
 def _polynomial_text(rec: dict) -> str:
-    poly = polynomial_from_record(rec)
+    text = _terms_text(rec["coeffs"])
     if "family" in rec:
-        return f"{rec['family']}({rec['n']}) = {poly}"
+        return f"{rec['family']}({rec['n']}) = {text}"
     if "group" in rec:
-        return f"{rec['group']}/{rec['stat']}/{rec['filter']}({rec['n']}) = {poly}"
-    return str(poly)
+        return f"{rec['group']}/{rec['stat']}/{rec['filter']}({rec['n']}) = {text}"
+    return text
 
 
 def _polynomials_table(records: List[dict]):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .polynomial import Polynomial, _from_row
 
@@ -80,10 +80,9 @@ class FamilyId(_FamilyIdFields):
         return super().__new__(cls, tag, rank)
 
 
-# A_m at index m for the ranks asked for so far and the rank below each,
-# None for the ranks passed through on the way: keeping every rank would
-# grow memory cubically.
-_A_RANKS: List[Optional[Polynomial]] = [Polynomial.one()]
+# A_m under key m for the ranks asked for so far and the rank below each:
+# keeping every rank passed through on the way would grow memory cubically.
+_A_RANKS: Dict[int, Polynomial] = {0: Polynomial.one()}
 
 
 def _a_step(row: Sequence[int], s: int) -> List[int]:
@@ -98,17 +97,18 @@ def eulerian_a(m: int) -> Polynomial:
     however large m is."""
     if m < 0:
         raise ValueError("type-A index must be nonnegative")
-    _A_RANKS.extend([None] * (m + 1 - len(_A_RANKS)))
-    r = next(r for r in range(m, -1, -1) if _A_RANKS[r] is not None)
+    a = _A_RANKS.get(m)
+    if a is not None:
+        return a
+    r = max(r for r in _A_RANKS if r < m)
     row = _A_RANKS[r]._row
-    for s in range(r + 1, m + 1):
-        if s == m and _A_RANKS[m - 1] is None:
-            # Keep A_(m-1) too: every rank-n family reads A_(n-1) and A_(n-2).
-            _A_RANKS[m - 1] = _from_row(row)
+    for s in range(r + 1, m):
         row = _a_step(row, s)
-    if r < m:
-        _A_RANKS[m] = _from_row(row)
-    return _A_RANKS[m]
+    if r < m - 1:
+        # Keep A_(m-1) too: every rank-n family reads A_(n-1) and A_(n-2).
+        _A_RANKS[m - 1] = _from_row(row)
+    a = _A_RANKS[m] = _from_row(_a_step(row, m))
+    return a
 
 
 @functools.cache

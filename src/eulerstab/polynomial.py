@@ -9,10 +9,11 @@ row's content.  So structural equality coincides with mathematical equality,
 which the identity checks and stability decisions rely on; nothing here
 touches floating point, and floats are rejected, not silently truncated.
 
-Every ring operation and evaluation runs on Python ints; `coeffs` builds
-canonical Fractions only when read, for output.  Only division runs on
-Fractions.  The gcd and Sturm paths share one primitive remainder sequence
-on integer rows (`_remainder_rows`).
+Every ring operation and evaluation runs on Python ints, and output prints
+from the row's decimal strings (`coeff_strings`); `coeffs` builds canonical
+Fractions only when it is read.  Only division runs on Fractions.  The gcd
+and Sturm paths share one primitive remainder sequence on integer rows
+(`_remainder_rows`).
 
 The degree of the zero polynomial is the distinguished marker
 ``NEG_INFINITY`` (``float("-inf")``), which compares below every integer.
@@ -40,6 +41,22 @@ def _ratio(value: Scalar) -> Tuple[int, int]:
 
 def _coerce(value: Scalar) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
+
+
+def _terms_text(coeffs: Sequence[str]) -> str:
+    """``1 + 4*x + x^2`` from coefficient strings, lowest degree first: "0"
+    terms skipped, a unit before x printed as ``x`` or ``-x``; "0" if none."""
+    out = []
+    for i, c in enumerate(coeffs):
+        if c == "0":
+            continue
+        if i:
+            xs = "x" if i == 1 else f"x^{i}"
+            c = xs if c == "1" else f"-{xs}" if c == "-1" else f"{c}*{xs}"
+        if out:
+            c = f" - {c[1:]}" if c[0] == "-" else f" + {c}"
+        out.append(c)
+    return "".join(out) or "0"
 
 
 class Polynomial:
@@ -95,7 +112,8 @@ class Polynomial:
         return tuple([Fraction(c, den) for c in self._row])
 
     def coeff_strings(self) -> List[str]:
-        """`str` of each of `coeffs`; an integer row is printed without Fractions."""
+        """`str` of each of `coeffs`, which `str`, `repr` and the CLI's
+        records print; an integer row is printed without Fractions."""
         if self._den == 1:
             return [str(c) for c in self._row]
         return [str(c) for c in self.coeffs]
@@ -131,29 +149,8 @@ class Polynomial:
         return f"Polynomial([{', '.join(self.coeff_strings())}])"
 
     def __str__(self) -> str:
-        if not self._row:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                if c == 1:
-                    parts.append(xs)
-                elif c == -1:
-                    parts.append(f"-{xs}")
-                else:
-                    parts.append(f"{c}*{xs}")
-        out = parts[0]
-        for term in parts[1:]:
-            if term.startswith("-"):
-                out += " - " + term[1:]
-            else:
-                out += " + " + term
-        return out
+        """The text ``1 + 4*x + x^2``, printed from `coeff_strings`."""
+        return _terms_text(self.coeff_strings())
 
     # ------------------------------------------------------------------
     # ring operations

@@ -8,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 from contextlib import redirect_stdout
+from fractions import Fraction as F
 
 import pytest
 
-from eulerstab import lab
+from eulerstab import cli, lab, oracle
 from eulerstab.cli import (
     emit,
     main,
@@ -48,6 +49,25 @@ def test_polynomial_json_round_trip():
         rec = json.loads(emit(poly, "json", family=fid.tag, n=fid.rank))
         assert polynomial_from_record(rec) == poly
         assert rec["family"] == fid.tag and rec["n"] == fid.rank
+
+
+def test_text_output_parses_no_record(monkeypatch):
+    # The text format prints each record's coefficient strings as they are.
+    def refuse(rec):
+        raise AssertionError("the text format parsed a record back")
+
+    monkeypatch.setattr(cli, "polynomial_from_record", refuse)
+    ranks = range(2, 6)
+    gen = [polynomial_record(family_polynomial(FamilyId("DMinus", n)), family="DMinus", n=n) for n in ranks]
+    meta = {"group": "D", "stat": "des_d", "filter": "last_negative"}
+    orc = [polynomial_record(oracle.distribution("D", "des_d", n, "last_negative"), **meta, n=n) for n in ranks]
+    oracle_argv = ["oracle", "--group", "D", "--stat", "des_d", "--filter", "last_negative"]
+    for argv, records in (
+        (["gen", "--family", "DMinus", "--n", "2", "--n-max", "5"], gen),
+        (oracle_argv + ["--n", "2", "--n-max", "5"], orc),
+    ):
+        assert _capture(argv) == (0, emit(records, "text") + "\n")
+    assert emit(P([F(-1, 2), -1, 0, 1]), "text") == "-1/2 - x + x^3"
 
 
 def test_emit_zigzag_csv():

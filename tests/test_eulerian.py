@@ -63,7 +63,7 @@ def test_eulerian_a_matches_descent_enumeration():
 def test_eulerian_a_matches_the_product_recurrence(monkeypatch):
     # The module recurrence as polynomial products, the reference for the
     # coefficient recurrence eulerian_a runs on integer rows.
-    monkeypatch.setattr(eulerian, "_A_RANKS", [P.one()])
+    monkeypatch.setattr(eulerian, "_A_RANKS", {0: P.one()})
     a = P.one()
     for m in range(1, 301):
         a = P([1, m]) * a - P([0, -1, 1]) * a.derivative()
@@ -78,7 +78,7 @@ def test_eulerian_a_rejects_negative():
 
 def test_eulerian_a_depth_does_not_grow_with_rank(monkeypatch):
     # Build A_300 from an empty memo with only ~150 frames of headroom.
-    monkeypatch.setattr(eulerian, "_A_RANKS", [P.one()])
+    monkeypatch.setattr(eulerian, "_A_RANKS", {0: P.one()})
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -93,7 +93,7 @@ def test_eulerian_a_depth_does_not_grow_with_rank(monkeypatch):
 
 def test_eulerian_a_keeps_only_the_ranks_asked_for(monkeypatch):
     # Keeping A_0..A_400 would trace over 100 times A_400's own size.
-    monkeypatch.setattr(eulerian, "_A_RANKS", [P.one()])
+    monkeypatch.setattr(eulerian, "_A_RANKS", {0: P.one()})
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -109,7 +109,7 @@ def test_eulerian_a_keeps_only_the_ranks_asked_for(monkeypatch):
 def test_cold_d_build_runs_each_type_a_step_once(monkeypatch):
     # D_n reads A_(n-1) through B_n and then A_(n-2): building A_(n-1) from
     # A_0 must leave A_(n-2) behind, not a second walk up from A_0.
-    monkeypatch.setattr(eulerian, "_A_RANKS", [P.one()])
+    monkeypatch.setattr(eulerian, "_A_RANKS", {0: P.one()})
     eulerian_b.cache_clear()
     eulerian_d.cache_clear()
     steps = []

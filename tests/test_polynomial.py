@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerstab.polynomial import (
@@ -56,6 +56,43 @@ def test_repr_and_str():
     assert str(P([1, 4, 1])) == "1 + 4*x + x^2"
     assert str(P([0, -1])) == "-x"
     assert str(P()) == "0"
+
+
+def _fraction_str(p):
+    """Reference printer over the Fraction coefficients."""
+    parts = []
+    for i, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            xs = "x" if i == 1 else f"x^{i}"
+            parts.append(xs if c == 1 else f"-{xs}" if c == -1 else f"{c}*{xs}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for term in parts[1:]:
+        out += " - " + term[1:] if term.startswith("-") else " + " + term
+    return out
+
+
+# Units and zeros at every degree (so ±1 constants, ±x, interior zeros and
+# negative leading terms), rationals, and integers too wide for 64 bits.
+str_coeffs = (
+    st.sampled_from([0, 1, -1]) | st.fractions(-9, 9, max_denominator=12) | st.integers(-(10**30), 10**30)
+)
+
+
+@given(st.lists(str_coeffs, max_size=8).map(P))
+@settings(max_examples=300, deadline=None)
+@example(P())
+@example(P([0, 0, 0]))
+@example(P([-1, -1, -1]))
+@example(P([1, 0, 0, F(-1, 2)]))
+@example(P([F(-3, 4), 1, 0, -1]))
+def test_str_matches_the_fraction_printer(p):
+    assert str(p) == _fraction_str(p)
 
 
 @pytest.mark.parametrize("coeffs", [[], [1, -4, 0, 2], [F(1, 2), 3, F(-5, 4)], [F(4, 2), 7], [10**40, -1]])
