@@ -58,7 +58,6 @@ _EXPORTS = {
         "UNSTABLE",
         "WEAKLY_STABLE",
         "HermiteBiehlerEvidence",
-        "HurwitzEvidence",
         "IsolatedRoot",
         "RootIsolation",
         "StabilityCertificate",

@@ -196,7 +196,9 @@ class ZigzagTable(tuple):
         return tuple(self)
 
     def ratio(self, n: int) -> Fraction:
-        """E_n / E_{n-1} as an exact rational."""
+        """E_n / E_{n-1} as an exact rational, for 1 <= n <= len - 1."""
+        if n < 1:
+            raise ValueError(f"the zigzag ratio E_n / E_(n-1) needs n >= 1, got {n}")
         return Fraction(self[n], self[n - 1])
 
 

@@ -155,7 +155,9 @@ def conjectured_threshold(n: int) -> Fraction:
 
 
 def distinct_root_boundaries(n: int) -> Tuple[Fraction, Fraction]:
-    """(-n*(n-1), -E_{2m+1}/E_{2m-1}) with m = floor(n/2)."""
+    """(-n*(n-1), -E_{2m+1}/E_{2m-1}) with m = floor(n/2), for n >= 4."""
+    if n < 4:
+        raise ValueError("the distinct-roots scan needs n >= 4")
     m = n // 2
     table = zigzag(2 * m + 1)
     return Fraction(-n * (n - 1)), -Fraction(table[2 * m + 1], table[2 * m - 1])
@@ -413,8 +415,6 @@ def scan_distinct_roots(n: int, ks: Sequence[Scalar]) -> VerificationReport:
     Boundary values of k are recorded as observations without a pass/fail
     judgment.
     """
-    if n < 4:
-        raise ValueError("the distinct-roots scan needs n >= 4")
     left, right = distinct_root_boundaries(n)
     report = VerificationReport("distinct-roots", (n, n))
     report.observations.append(

@@ -44,22 +44,22 @@ Every decision in this module is made in exact rational arithmetic:
   the other part is real-rooted.
 * Strict Hurwitz stability is decided on the same sequence of (E, O): p is
   strictly stable iff every coefficient is positive and Ind(O/E) = deg E.
-  The Hurwitz determinants, computed fraction-free (Bareiss) after clearing
-  denominators, are evidence only, built when first read.
+  Both certificates carry the same evidence: E, O, the interlacing outcome
+  and the failed conditions.  The Hurwitz determinants, computed
+  fraction-free (Bareiss) after clearing denominators, are a separate
+  function that no verdict calls.
 
 Division of labor: real-rootedness, interlacing, weak and strict stability
-and the failed conditions a weak-stability certificate names are decided
-by the index of remainder sequences.  Root isolation, on one Sturm chain
-and its gcd tower per polynomial, serves output (`gen --roots`,
-`approximate_real_roots`) and evidence only: a certificate's isolation
-fields are built when first read.
+and the failed conditions a certificate names are decided by the index of
+remainder sequences.  Root isolation, on one Sturm chain and its gcd tower
+per polynomial, serves output only (`gen --roots`, `isolate_real_roots`,
+`approximate_real_roots`).
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .polynomial import (
     Polynomial,
@@ -417,48 +417,22 @@ def interlaces(g: Polynomial, f: Polynomial) -> bool:
 # stability certificates
 
 
-# The evidence classes add no __slots__: cached_property keeps what it
-# builds in the instance dict.
-class _HermiteBiehlerFields(NamedTuple):
+class HermiteBiehlerEvidence(NamedTuple):
+    """Witness data for a weak- or strict-stability verdict: the even and odd
+    parts E and O of p(x) = E(x^2) + x*O(x^2) (None for a part that vanishes
+    identically), the interlacing outcome read off their remainder sequence
+    (None when a degenerate split or an earlier failure made it
+    inapplicable) and the failed conditions."""
+
     even_part: Optional[Polynomial]
     odd_part: Optional[Polynomial]
     interlacing: Optional[bool]
     detail: str = ""
 
 
-class HermiteBiehlerEvidence(_HermiteBiehlerFields):
-    """Witness data for a weak-stability verdict: the even and odd parts
-    (None for a part that vanishes identically), the interlacing outcome
-    (None when a degenerate split or an earlier failure made it
-    inapplicable) and the failed conditions.  The parts' real-root
-    isolations, even_part_roots and odd_part_roots, are built when first
-    read; no verdict needs them."""
-
-    @functools.cached_property
-    def even_part_roots(self) -> Optional[RootIsolation]:
-        return None if self.even_part is None else _locate(self.even_part, None)
-
-    @functools.cached_property
-    def odd_part_roots(self) -> Optional[RootIsolation]:
-        return None if self.odd_part is None else _locate(self.odd_part, None)
-
-
-class _HurwitzFields(NamedTuple):
-    polynomial: Polynomial
-
-
-class HurwitzEvidence(_HurwitzFields):
-    """Witness data for a strict-stability verdict: the polynomial.  Its
-    Hurwitz determinants are built when first read; no verdict needs them."""
-
-    @functools.cached_property
-    def determinants(self) -> Tuple[Fraction, ...]:
-        return hurwitz_determinants(self.polynomial)
-
-
 class StabilityCertificate(NamedTuple):
     verdict: str
-    evidence: Union[HermiteBiehlerEvidence, HurwitzEvidence]
+    evidence: HermiteBiehlerEvidence
 
 
 def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
@@ -472,8 +446,10 @@ def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
     conditions are read off the remainder sequence of E and O alone.  When
     one part vanishes identically, p is a dilated copy of the other part
     composed with x^2, so the verdict reduces to nonnegative coefficients
-    and a real-rooted surviving part.  A failing verdict names every failed
-    condition in the detail, each read from remainder sequences too.
+    and a real-rooted surviving part.  The evidence holds E and O (None for
+    a vanishing part) and the interlacing outcome; a failing verdict names
+    every failed condition in its detail, each read from remainder sequences
+    too.
     """
     if p.is_zero:
         ev = HermiteBiehlerEvidence(None, None, None, "zero polynomial vanishes identically")
@@ -590,6 +566,9 @@ def is_strictly_hurwitz_stable(p: Polynomial) -> StabilityCertificate:
     deg E or deg E - 1, and that index makes gcd(E, O) constant and the
     roots of E and O simple, negative and strictly interlacing.
 
+    The evidence holds E and O (None for a vanishing part), whether
+    Ind(O/E) = deg E (None when a coefficient is not positive, as the index
+    is then not read) and, for a failing verdict, which condition failed.
     An "unstable" verdict here means only that strict stability fails; the
     polynomial may still be weakly stable (zeros on the imaginary axis).
     """
@@ -598,5 +577,12 @@ def is_strictly_hurwitz_stable(p: Polynomial) -> StabilityCertificate:
     if p.leading_coefficient <= 0:
         raise ValueError("the leading coefficient must be positive; normalize the sign first")
     even, odd = p.even_odd_split()
-    stable = min(primitive_integer_coeffs(p)) > 0 and _index(_remainder_rows(even, odd)) == even.degree
-    return StabilityCertificate(STRICTLY_STABLE if stable else UNSTABLE, HurwitzEvidence(p))
+    interlacing: Optional[bool] = None
+    detail = "a coefficient is not positive"
+    if min(primitive_integer_coeffs(p)) > 0:
+        interlacing = _index(_remainder_rows(even, odd)) == even.degree
+        detail = "" if interlacing else "odd part does not strictly interlace the even part"
+    ev = HermiteBiehlerEvidence(
+        None if even.is_zero else even, None if odd.is_zero else odd, interlacing, detail
+    )
+    return StabilityCertificate(STRICTLY_STABLE if interlacing else UNSTABLE, ev)

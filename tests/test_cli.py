@@ -211,6 +211,14 @@ def test_scan_distinct_roots_exit_0():
     assert len(rec["observations"]) == 3
 
 
+@pytest.mark.parametrize("n", ["-1", "0", "3"])
+def test_scan_distinct_roots_below_rank_4_exit_2(n, capsys):
+    # The rank is checked before the default grid reads any zigzag number.
+    code, out = _capture(["scan", "--conjecture", "distinct-roots", "--n", n])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: the distinct-roots scan needs n >= 4\n"
+
+
 @pytest.mark.parametrize(
     "check, n_max, lowest",
     [

@@ -264,6 +264,14 @@ def test_zigzag_rejects_negative():
         zigzag(-1)
 
 
+def test_zigzag_ratio_domain():
+    table = zigzag(3)
+    assert [table.ratio(n) for n in (1, 2, 3)] == [1, 1, 2]
+    # E_(-1) does not exist; the index must not wrap around to E_3.
+    with pytest.raises(ValueError, match=r"needs n >= 1, got 0$"):
+        table.ratio(0)
+
+
 # ---------------------------------------------------------------------------
 # FamilyId
 

@@ -268,6 +268,9 @@ def test_scan_default_grid():
 def test_scan_domain():
     with pytest.raises(ValueError):
         scan_distinct_roots(3, [F(0)])
+    for n in (-1, 0, 1, 3):
+        with pytest.raises(ValueError, match=r"^the distinct-roots scan needs n >= 4$"):
+            distinct_root_boundaries(n)
 
 
 # ---------------------------------------------------------------------------

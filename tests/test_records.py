@@ -1,12 +1,11 @@
 """The contracts callers read from the record classes: equality and hash by
-value, refused field assignment, validation errors, fresh mutable fields per
-report and evidence built once."""
+value, refused field assignment, validation errors and fresh mutable fields
+per report."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from eulerstab import stability
 from eulerstab.eulerian import FamilyId, zigzag
 from eulerstab.lab import ThresholdBracket, VerificationReport
 from eulerstab.oracle import SignedPerm
@@ -21,7 +20,7 @@ from eulerstab.stability import (
 )
 
 
-def test_record_contracts(monkeypatch):
+def test_record_contracts():
     p = P([1, 4, 1])
     roots = (IsolatedRoot(F(-4), F(-3), 1), IsolatedRoot(F(-1, 2), F(0), 1))
     for make in (
@@ -52,7 +51,7 @@ def test_record_contracts(monkeypatch):
         (roots[0], "lo"),
         (RootIsolation(roots), "roots"),
         (weak.evidence, "detail"),
-        (strict.evidence, "polynomial"),
+        (strict.evidence, "detail"),
         (weak, "verdict"),
     ]
     for record, name in frozen:
@@ -72,10 +71,3 @@ def test_record_contracts(monkeypatch):
     a.observations.append("note")
     assert (b.failures, b.observations) == ([], []) and a != b
     assert b == VerificationReport("x", (1, 2))
-
-    located = []
-    locate = stability._locate
-    monkeypatch.setattr(stability, "_locate", lambda q, width: located.append(q) or locate(q, width))
-    ev = hermite_biehler_weakly_stable(p).evidence
-    first = ev.even_part_roots
-    assert ev.even_part_roots is first and located == [ev.even_part]

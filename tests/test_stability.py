@@ -401,7 +401,7 @@ def test_weak_stability_examples():
     # x^2 + 1: odd part vanishes, even part has the single root -1
     cert = hermite_biehler_weakly_stable(P([1, 0, 1]))
     assert cert.verdict == WEAKLY_STABLE
-    assert cert.evidence.odd_part_roots is None
+    assert cert.evidence.odd_part is None
     assert hermite_biehler_weakly_stable(P([-1, 0, 1])).verdict == UNSTABLE
 
 
@@ -409,9 +409,10 @@ def test_weak_stability_evidence():
     cert = hermite_biehler_weakly_stable(P([1, 1]) ** 3)
     ev = cert.evidence
     assert ev.interlacing is True
-    assert [r.multiplicity for r in ev.even_part_roots] == [1]
-    assert [r.multiplicity for r in ev.odd_part_roots] == [1]
-    assert all(r.hi <= 0 for r in ev.even_part_roots)
+    even_roots = isolate_real_roots(ev.even_part, None)
+    assert [r.multiplicity for r in even_roots] == [1]
+    assert [r.multiplicity for r in isolate_real_roots(ev.odd_part, None)] == [1]
+    assert all(r.hi <= 0 for r in even_roots)
 
 
 def test_weak_stability_degenerate_even_part():
@@ -439,7 +440,8 @@ def _isolation_certificate(p):
     """The weak-stability decision read off root isolations: each part's
     real-rootedness and root signs come from `_locate`, and the interlacing
     step from the index.  The reference for the remainder-sequence decision;
-    returns (verdict, even_part_roots, odd_part_roots, interlacing, detail)."""
+    returns (verdict, even_part, odd_part, interlacing, detail), a vanishing
+    part given as None."""
     if p.is_zero:
         return UNSTABLE, None, None, None, "zero polynomial vanishes identically"
     if p.leading_coefficient < 0:
@@ -452,8 +454,8 @@ def _isolation_certificate(p):
         ok = iso.total_multiplicity == part.degree and all(r.hi <= 0 for r in iso)
         verdict = WEAKLY_STABLE if ok else UNSTABLE
         if odd.is_zero:
-            return verdict, iso, None, None, "degenerate split: odd part vanishes"
-        return verdict, None, iso, None, "degenerate split: even part vanishes"
+            return verdict, even, None, None, "degenerate split: odd part vanishes"
+        return verdict, None, odd, None, "degenerate split: even part vanishes"
 
     even_iso, odd_iso = stability._locate(even, None), stability._locate(odd, None)
     problems = []
@@ -473,13 +475,13 @@ def _isolation_certificate(p):
         if not interlacing:
             problems.append("odd part does not interlace the even part")
     verdict = WEAKLY_STABLE if not problems else UNSTABLE
-    return verdict, even_iso, odd_iso, interlacing, "; ".join(problems)
+    return verdict, even, odd, interlacing, "; ".join(problems)
 
 
 def _weak_certificate_matches_isolation(p) -> str:
     cert = hermite_biehler_weakly_stable(p)
     ev = cert.evidence
-    got = (cert.verdict, ev.even_part_roots, ev.odd_part_roots, ev.interlacing, ev.detail)
+    got = (cert.verdict, ev.even_part, ev.odd_part, ev.interlacing, ev.detail)
     assert got == _isolation_certificate(p), p
     return cert.verdict
 
@@ -582,7 +584,7 @@ def test_weak_stability_matches_isolation_on_chosen_parts(even_roots, scale, dat
     assert _weak_certificate_matches_isolation(p) == (WEAKLY_STABLE if stable else UNSTABLE)
 
 
-def test_stable_certificate_isolates_only_when_read(monkeypatch):
+def test_certificates_isolate_no_roots(monkeypatch):
     located = []
     locate = stability._locate
 
@@ -593,22 +595,15 @@ def test_stable_certificate_isolates_only_when_read(monkeypatch):
     monkeypatch.setattr(stability, "_locate", spy)
     # (x + 1)^3 (x^2 + 1) and x^2 + 1, whose odd part vanishes
     for p in (P([1, 1]) ** 3 * P([1, 0, 1]), P([1, 0, 1])):
-        cert = hermite_biehler_weakly_stable(p)
-        assert cert.verdict == WEAKLY_STABLE and located == []
-        ev = cert.evidence
-        even_roots = ev.even_part_roots
-        assert located == [ev.even_part] and ev.even_part_roots is even_roots
-        parts = [ev.even_part] if ev.odd_part is None else [ev.even_part, ev.odd_part]
-        assert ev.odd_part_roots == (None if ev.odd_part is None else locate(ev.odd_part, None))
-        assert located == parts
-        located.clear()
+        assert hermite_biehler_weakly_stable(p).verdict == WEAKLY_STABLE and located == []
     # A failing verdict names what failed without isolating either part.
     cert = hermite_biehler_weakly_stable(P([1, 1]) ** 3 * P([-1, 1]))
     assert cert.verdict == UNSTABLE and located == []
     assert cert.evidence.detail == "a part has a positive real root"
-    ev = cert.evidence
-    assert ev.even_part_roots == locate(ev.even_part, None) and located == [ev.even_part]
-    assert ev.odd_part_roots == locate(ev.odd_part, None) and located == [ev.even_part, ev.odd_part]
+    # Strict verdicts, passing and failing, isolate nothing either.
+    for p in (P([1, 2, 2, 1]), P([1, 1, 1, 1]), P([1, -1, 1])):
+        is_strictly_hurwitz_stable(p)
+    assert located == []
 
 
 def test_decisions_read_no_fraction_coefficients(monkeypatch):
@@ -671,7 +666,7 @@ def test_strict_stability_examples():
     assert is_strictly_hurwitz_stable(P([2, 3, 1])).verdict == STRICTLY_STABLE
     assert is_strictly_hurwitz_stable(P([1, 0, 1])).verdict == UNSTABLE
     assert is_strictly_hurwitz_stable(P([1, 2, 2, 1])).verdict == STRICTLY_STABLE
-    assert is_strictly_hurwitz_stable(P([1, 2, 2, 1])).evidence.determinants == (2, 3, 3)
+    assert hurwitz_determinants(P([1, 2, 2, 1])) == (2, 3, 3)
 
 
 def test_strict_stability_requires_positive_leading():
@@ -682,8 +677,31 @@ def test_strict_stability_requires_positive_leading():
 
 
 def test_strict_certificate_invariant():
-    cert = is_strictly_hurwitz_stable(P([1, 2, 2, 1]))
-    assert all(d > 0 for d in cert.evidence.determinants)
+    p = P([1, 2, 2, 1])
+    cert = is_strictly_hurwitz_stable(p)
+    assert cert.verdict == STRICTLY_STABLE and all(d > 0 for d in hurwitz_determinants(p))
+
+
+def test_strict_stability_evidence():
+    # A failing strict verdict says which condition failed.
+    cert = is_strictly_hurwitz_stable(P([1, -1, 1]))
+    assert cert.verdict == UNSTABLE and cert.evidence.interlacing is None
+    assert cert.evidence.detail == "a coefficient is not positive"
+    # (1 + x)(1 + x^2): positive coefficients, zeros +-i on the axis
+    cert = is_strictly_hurwitz_stable(P([1, 1, 1, 1]))
+    assert cert.verdict == UNSTABLE and cert.evidence.interlacing is False
+    assert cert.evidence.detail == "odd part does not strictly interlace the even part"
+    assert cert.evidence == (P([1, 1]), P([1, 1]), False, cert.evidence.detail)
+    # A vanishing part is None, as in the weak certificate.
+    cert = is_strictly_hurwitz_stable(X)
+    assert cert.verdict == UNSTABLE and cert.evidence.even_part is None
+    assert cert.evidence.odd_part == P([1])
+    cert = is_strictly_hurwitz_stable(P([3]))
+    assert cert.verdict == STRICTLY_STABLE and cert.evidence.odd_part is None
+    p = P([1, 2, 2, 1])
+    cert = is_strictly_hurwitz_stable(p)
+    assert cert.verdict == STRICTLY_STABLE and cert.evidence.detail == ""
+    assert (cert.evidence.even_part, cert.evidence.odd_part) == p.even_odd_split()
 
 
 def test_strict_verdict_matches_hurwitz_determinants():
@@ -711,9 +729,15 @@ def test_strict_verdict_matches_hurwitz_determinants():
     inputs += [X**k for k in range(2, 5)] + [P([1, 1]) * X**2, P([1, 0, 1]) ** 2]
     verdicts = {UNSTABLE: 0, STRICTLY_STABLE: 0}
     for p in inputs:
-        verdict = is_strictly_hurwitz_stable(p).verdict
-        assert (verdict == STRICTLY_STABLE) == all(d > 0 for d in hurwitz_determinants(p)), p
-        verdicts[verdict] += 1
+        cert = is_strictly_hurwitz_stable(p)
+        assert (cert.verdict == STRICTLY_STABLE) == all(d > 0 for d in hurwitz_determinants(p)), p
+        assert (cert.verdict == STRICTLY_STABLE) == (cert.evidence.detail == ""), p
+        if cert.verdict == STRICTLY_STABLE:
+            # Strict stability implies weak stability, on the same parts.
+            weak = hermite_biehler_weakly_stable(p)
+            assert weak.verdict == WEAKLY_STABLE, p
+            assert weak.evidence[:2] == cert.evidence[:2], p
+        verdicts[cert.verdict] += 1
     assert min(verdicts.values()) > 100
 
 
@@ -731,10 +755,8 @@ def test_strict_decisions_build_no_determinant(monkeypatch):
     for p in _c8_products():
         is_strictly_hurwitz_stable(p)
     cert = is_strictly_hurwitz_stable(P([1, 2, 2, 1]))
-    assert cert.verdict == STRICTLY_STABLE and calls == []
-    dets = cert.evidence.determinants
-    assert dets == (2, 3, 3) and calls == [P([1, 2, 2, 1])]
-    assert cert.evidence.determinants is dets and len(calls) == 1
+    assert cert.verdict == STRICTLY_STABLE and cert.evidence.interlacing is True
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
