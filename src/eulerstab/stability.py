@@ -12,10 +12,13 @@ Every decision in this module is made in exact rational arithmetic:
   Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2).  With h
   the last row, gcd(f, g), it reaches deg f - deg h exactly when f/h has
   simple real roots only and g/f has a positive residue at each.  So p is
-  real-rooted iff Ind(p'/p) = deg p - deg gcd(p, p'), and real-rooted g
-  weakly interlaces real-rooted f (positive leading coefficients) iff
-  Ind(g/f) = deg f - deg h: a shared real root joins or leaves both root
-  lists without breaking the alternation.
+  real-rooted iff Ind(p'/p) = deg p - deg gcd(p, p').  With positive
+  leading coefficients and deg g in {deg f - 1, deg f}, f and g are
+  real-rooted and g weakly interlaces f iff Ind(g/f) = deg f - deg h and h
+  is real-rooted: the index makes f/h and g/h real-rooted, and a shared
+  real root joins or leaves both root lists without breaking the
+  alternation.  `interlaces` and the weak certificate both decide on this
+  one test of one remainder sequence.
 * Real roots are isolated, with exact multiplicities, into disjoint open
   rational intervals or exact rational points.  The root at 0 is split off
   with the multiplicity of the leading zero coefficients, and one bisection
@@ -37,11 +40,10 @@ Every decision in this module is made in exact rational arithmetic:
   nonnegative, E and O are real-rooted, deg O is deg E or deg E - 1 and O
   interlaces E (a real-rooted part with positive leading coefficient has no
   positive root iff its coefficients are nonnegative).  Given the degrees,
-  the last two conditions hold iff Ind(O/E) = deg E - deg h and h is
-  real-rooted, h = gcd(E, O) being the last row of the same sequence: the
-  index makes E/h and O/h real-rooted.  When one part vanishes
-  identically, p is weakly stable iff its coefficients are nonnegative and
-  the other part is real-rooted.
+  real-rooted E and O with O interlacing E is the interlacing test above,
+  on the remainder sequence of (E, O).  When one part vanishes identically,
+  p is weakly stable iff its coefficients are nonnegative and the other
+  part is real-rooted.
 * Strict Hurwitz stability is decided on the same sequence of (E, O): p is
   strictly stable iff every coefficient is positive and Ind(O/E) = deg E.
   Both certificates carry the same evidence: E, O, the interlacing outcome
@@ -59,6 +61,7 @@ per polynomial, serves output only (`gen --roots`, `isolate_real_roots`,
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import ne
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .polynomial import (
@@ -88,30 +91,15 @@ class SturmChain(NamedTuple):
     primitive integer coefficient vectors, on which every sign is evaluated.
     The remainders are primitive pseudo-remainders computed on integer rows:
     positive multiples of the rational remainders, so every sign is kept.
-    Equality and hash read polys alone, which determine the rows.
     """
 
     polys: Tuple[Polynomial, ...]
     rows: Tuple[Tuple[int, ...], ...]
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SturmChain) and self.polys == other.polys
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(self.polys)
-
     def variations(self, point: Scalar) -> int:
         """Sign variations of the chain at a rational point."""
         x = _coerce(point)
-        signs = []
-        for row in self.rows:
-            s = _sign_at(row, x)
-            if s:
-                signs.append(s)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        return _changes([_horner(row, x.numerator, x.denominator) for row in self.rows])
 
     def count(self, lo: Scalar, hi: Scalar) -> int:
         """Distinct real roots of polys[0] in the open interval (lo, hi)."""
@@ -127,6 +115,12 @@ def _sign_at(row: Sequence[int], x: Fraction) -> int:
     """Sign of the integer row's polynomial at x."""
     v = _horner(row, x.numerator, x.denominator)
     return (v > 0) - (v < 0)
+
+
+def _changes(values: Sequence[int]) -> int:
+    """Sign changes between consecutive nonzero entries of values."""
+    signs = [v > 0 for v in values if v]
+    return sum(map(ne, signs, signs[1:]))
 
 
 def sturm_chain(p: Polynomial) -> SturmChain:
@@ -147,11 +141,7 @@ def _index(rows: Sequence[Sequence[int]]) -> int:
     Cauchy index Ind(rows[1] / rows[0]) when rows is their signed remainder
     sequence.  At +inf a row has the sign of its leading coefficient, at
     -inf that sign flipped for odd degree."""
-
-    def var(signs: List[bool]) -> int:
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    return var([(r[-1] > 0) == (len(r) % 2 == 1) for r in rows]) - var([r[-1] > 0 for r in rows])
+    return _changes([r[-1] if len(r) % 2 else -r[-1] for r in rows]) - _changes([r[-1] for r in rows])
 
 
 def _count_real(p: Polynomial) -> int:
@@ -376,22 +366,28 @@ def approximate_real_roots(p: Polynomial, digits: int = 20) -> List[Tuple[Fracti
 def is_real_rooted(p: Polynomial) -> bool:
     """True iff every complex root of p is real: the Cauchy index Ind(p'/p)
     counts p's distinct real roots, and must reach p.degree - deg gcd(p, p'),
-    the number of its distinct roots."""
+    the number of its distinct roots.  That bare index is the whole test:
+    unlike the interlacing test, it does not also test gcd(p, p'), which
+    would recurse once per level of root multiplicity."""
     if p.is_zero:
         raise ValueError("real-rootedness is undefined for the zero polynomial")
-    return p.degree < 1 or _index_interlaces(p.derivative(), p)
+    if p.degree < 1:
+        return True
+    rows = _remainder_rows(p, p.derivative())
+    return _index(rows) == len(rows[0]) - len(rows[-1])
 
 
 # ---------------------------------------------------------------------------
 # interlacing
 
 
-def _index_interlaces(g: Polynomial, f: Polynomial) -> bool:
-    """Ind(g/f) = deg f - deg gcd(f, g).  For real-rooted f and g with
-    positive leading coefficients, g weakly interlaces f; for g = f', f is
-    real-rooted."""
+def _interlaced(g: Polynomial, f: Polynomial) -> bool:
+    """For positive leading coefficients and deg g in {deg f - 1, deg f}:
+    True iff f and g are real-rooted and g weakly interlaces f, that is
+    Ind(g/f) = deg f - deg h and h = gcd(f, g), the last row of the
+    remainder sequence of (f, g), is real-rooted (see the module notes)."""
     rows = _remainder_rows(f, g)
-    return _index(rows) == len(rows[0]) - len(rows[-1])
+    return _index(rows) == len(rows[0]) - len(rows[-1]) and is_real_rooted(Polynomial(rows[-1]))
 
 
 def interlaces(g: Polynomial, f: Polynomial) -> bool:
@@ -400,7 +396,9 @@ def interlaces(g: Polynomial, f: Polynomial) -> bool:
     allowed).
 
     Preconditions, enforced: both real-rooted with positive leading
-    coefficients and deg(g) in {deg(f) - 1, deg(f)}.
+    coefficients and deg(g) in {deg(f) - 1, deg(f)}.  Real-rootedness is
+    checked only to explain a False answer: a holding interlacing builds the
+    remainder sequence of (f, g) alone.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("interlacing is undefined for the zero polynomial")
@@ -408,9 +406,11 @@ def interlaces(g: Polynomial, f: Polynomial) -> bool:
         raise ValueError("interlacing requires positive leading coefficients")
     if g.degree not in (f.degree - 1, f.degree):
         raise ValueError("degree of g must be deg(f) or deg(f) - 1")
+    if _interlaced(g, f):
+        return True
     if not (is_real_rooted(f) and is_real_rooted(g)):
         raise ValueError("interlacing requires real-rooted polynomials")
-    return _index_interlaces(g, f)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +470,8 @@ def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
     interlacing: Optional[bool] = None
     compatible = odd.degree in (even.degree - 1, even.degree)
     if nonnegative and compatible:
-        # O interlaces E iff Ind(O/E) = deg E - deg h, h = gcd(E, O).  Then
-        # E/h has simple real roots only and O/h a root between any two of
-        # them, so O/h is real-rooted too: E and O are real-rooted iff h is.
-        rows = _remainder_rows(even, odd)
-        interlacing = _index(rows) == len(rows[0]) - len(rows[-1])
-        if interlacing and is_real_rooted(Polynomial(rows[-1])):
+        interlacing = _interlaced(odd, even)
+        if interlacing:
             return StabilityCertificate(WEAKLY_STABLE, HermiteBiehlerEvidence(even, odd, True))
 
     # A part q has a root r > 0 iff q(y^2) has the real roots +-sqrt(r).  With

@@ -3,8 +3,9 @@
 Each criterion prints one PASS/FAIL line.  All comparisons are exact except
 the bisection widths, which are pinned at 10^-6.  The oracle sweep runs type
 A to 10 letters.  Set EULERSTAB_EXTENDED=1 to raise its type-B and type-D
-ranks from 8 to 9, the weak-stability sweep and the interlacing checks from
-rank 30 to rank 40 and the threshold brackets from n = 24 to n = 40.
+ranks from 8 to 9, the weak-stability sweep from rank 30 to rank 40, the
+interlacing checks from rank 30 to rank 50 and the threshold brackets from
+n = 24 to n = 40.
 """
 
 import io
@@ -57,7 +58,7 @@ EXTENDED = os.environ.get("EULERSTAB_EXTENDED") == "1"
 ORACLE_MAX = 9 if EXTENDED else 8
 ORACLE_A_LETTERS = 10
 WEAK_MAX = 40 if EXTENDED else 30
-INTERLACING_MAX = 40 if EXTENDED else 30
+INTERLACING_MAX = 50 if EXTENDED else 30
 THRESHOLD_MAX = 40 if EXTENDED else 24
 
 

@@ -346,6 +346,12 @@ def test_is_real_rooted_examples():
         is_real_rooted(P())
 
 
+def test_is_real_rooted_reads_one_index_at_high_multiplicity():
+    # The gcd (x + 1)^1099 is not tested again: one level per multiplicity
+    # would recurse past the interpreter's limit.
+    assert is_real_rooted(P([1, 1]) ** 1100)
+
+
 # ---------------------------------------------------------------------------
 # interlacing
 
@@ -390,6 +396,30 @@ def test_interlaces_preconditions():
         interlaces(-P([1, 1]), P([1, 2, 1]))  # negative leading coefficient
     with pytest.raises(ValueError):
         interlaces(P(), P([1, 1]))
+
+
+def test_interlaces_rejects_a_shared_nonreal_factor():
+    # The bare index holds, deg f - deg h = 4 - 2 on h = x^2 + 1, but h has no
+    # real root, so neither input is real-rooted.
+    f = P([1, 0, 1]) * P([1, 1]) * P([2, 1])
+    g = P([1, 0, 1]) * P([3, 2])
+    rows = stability._remainder_rows(f, g)
+    assert len(rows[-1]) == 3 and stability._index(rows) == 2
+    with pytest.raises(ValueError, match="^interlacing requires real-rooted polynomials$"):
+        interlaces(g, f)
+
+
+def test_holding_interlacing_builds_one_remainder_sequence(monkeypatch):
+    built = []
+    remainder_rows = stability._remainder_rows
+
+    def spy(p, q):
+        built.append((p, q))
+        return remainder_rows(p, q)
+
+    monkeypatch.setattr(stability, "_remainder_rows", spy)
+    assert interlaces(eulerian_d(8), affine_b(8))
+    assert built == [(affine_b(8), eulerian_d(8))]
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +501,8 @@ def _isolation_certificate(p):
         problems.append("even/odd degrees are incompatible with interlacing")
     interlacing = None
     if not problems:
-        interlacing = stability._index_interlaces(odd, even)
+        rows = stability._remainder_rows(even, odd)
+        interlacing = stability._index(rows) == len(rows[0]) - len(rows[-1])
         if not interlacing:
             problems.append("odd part does not interlace the even part")
     verdict = WEAKLY_STABLE if not problems else UNSTABLE
@@ -918,3 +949,42 @@ def test_interlaces_matches_known_root_order(pool, data):
     assert interlaces(g, f) == _weakly_alternate(f_keys, g_keys)
     if g.degree == f.degree:
         assert interlaces(f, g) == _weakly_alternate(g_keys, f_keys)
+
+
+# x^2 + c with c > 0: a pair of non-real roots.
+_nonreal_quadratic = st.fractions(min_value=F(1, 4), max_value=9, max_denominator=4).map(
+    lambda c: P([c, 0, 1])
+)
+
+
+@given(
+    st.lists(st.one_of(_rationals.map(lambda r: P([-r, 1])), _nonreal_quadratic), min_size=1, max_size=4),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_interlaces_keeps_its_contract(pool, data):
+    # The contract, written out: a ValueError unless both inputs are
+    # real-rooted (here: drew no x^2 + c), else the bare index
+    # Ind(g/f) = deg f - deg gcd(f, g).  f and g draw from one pool, so they
+    # may share non-real factors.
+    def side():
+        picks = st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 2)), min_size=1, max_size=3)
+        poly, real = P([1]), True
+        for q, m in data.draw(picks):
+            poly, real = poly * q**m, real and q.degree == 1
+        return poly, real
+
+    (f, f_real), (g, g_real) = side(), side()
+    if g.degree > f.degree:
+        (f, f_real), (g, g_real) = (g, g_real), (f, f_real)
+    target = data.draw(st.sampled_from([f.degree - 1, f.degree]))
+    while g.degree < target:
+        g = g * P([-data.draw(_rationals), 1])
+    g = g * data.draw(_positive)
+    assert (is_real_rooted(f), is_real_rooted(g)) == (f_real, g_real)
+    if f_real and g_real:
+        rows = stability._remainder_rows(f, g)
+        assert interlaces(g, f) == (stability._index(rows) == len(rows[0]) - len(rows[-1]))
+    else:
+        with pytest.raises(ValueError, match="^interlacing requires real-rooted polynomials$"):
+            interlaces(g, f)
