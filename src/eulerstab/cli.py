@@ -54,6 +54,9 @@ _OPERATOR_SEED = 0x0E57AB
 
 def _parse_rational(text: str) -> Fraction:
     try:
+        # Fraction computes 10**exp first; cap it at int()'s default digit limit.
+        if abs(int(text.lower().partition("e")[2] or 0)) > 4300:
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc

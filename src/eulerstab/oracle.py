@@ -23,18 +23,24 @@ permutation: the permutations of 1..m fall into m blocks of (m-1)! lanes,
 one per first letter a, and each block lists the permutations of the other
 letters in lexicographic order.  A descent depends only on relative order,
 so a pair i >= 1 repeats rank m - 1's lanes of pair i - 1 in every block,
-and pair 0 descends on the first (a-1)*(m-2)! lanes of block a.  Under a
-fixed sign mask each padded pair is a descent on no lane, on every lane, or
-where the absolute values descend (signs +,+) or ascend (signs -,-).  One
-loop over the masks counts the n! elements of each mask at once, sorting
-the lanes into descent classes: each pair moves the lanes it descends on
-up one class.  A budget guard refuses group orders that are too large to
-enumerate.
+and pair 0 descends on the first (a-1)*(m-2)! lanes of block a.
+
+Counting has two stages.  The lanes are split pair by pair into descent
+classes, counting every permutation from its own lane: the number with each
+descent set (Stanley's beta_n(S), EC1 section 1.4).  Under a padded-window
+rule each pair is a descent never, always, or where the absolute values
+descend (signs +,+) or ascend (signs -,-), so one transfer over positions
+sums the sign masks instead of visiting them one at a time: its state is the
+sign of the current entry (and, for type D, the parity of the negated
+entries), each class's distribution is packed into one int, and each pair
+folds the classes two into one.  A budget guard refuses group orders that
+are too large to enumerate.
 """
 
 from __future__ import annotations
 
 from math import factorial
+from operator import add
 from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .polynomial import Polynomial
@@ -171,6 +177,24 @@ def _descent_lanes(n: int) -> List[int]:
     return desc
 
 
+def _descent_classes(n: int) -> List[int]:
+    """counts[D]: the number of permutations of 1..n whose descent set is D,
+    bit i set when |s_(i+1)| > |s_(i+2)|."""
+    desc = _descent_lanes(n)
+    counts = [0] * (1 << len(desc))
+
+    def split(lanes: int, i: int, cls: int) -> None:
+        if i == len(desc):
+            counts[cls] = lanes.bit_count()
+            return
+        down = lanes & desc[i]
+        split(lanes ^ down, i + 1, cls)
+        split(down, i + 1, cls | 1 << i)
+
+    split((1 << factorial(n)) - 1, 0, 0)
+    return counts
+
+
 def distribution(
     group: str,
     stat: str,
@@ -205,37 +229,30 @@ def distribution(
     if order > budget:
         raise BudgetExceededError(f"group order {order} exceeds the enumeration budget {budget}")
 
-    if group == "A" and filter == "last_negative":
-        return Polynomial()
-    desc = _descent_lanes(n)
-    everyone = (1 << factorial(n)) - 1
-    asc = [everyone ^ lanes for lanes in desc]
+    counts = _descent_classes(n)
+    w = order.bit_length()  # digit width: no coefficient reaches the order
     d_pad = stat == "des_d" or (stat == "des" and group == "D")
-    hist = [0] * (n + 2)
-    # Mask bit i negates s_(i+1); type A is the single mask 0.
-    for mask in range(1 << (0 if group == "A" else n)):
-        neg = [(mask >> i) & 1 for i in range(n)]
-        if (group == "D" and sum(neg) % 2) or (filter != "all" and neg[-1] != (filter == "last_negative")):
-            continue
-        # base: the descents on every lane; indicators: (lanes with, lanes
-        # without) one more descent.
-        base, indicators = 0, []
-        for i in range(n - 1):
-            if neg[i] == neg[i + 1]:
-                indicators.append((asc[i], desc[i]) if neg[i] else (desc[i], asc[i]))
-            else:
-                base += neg[i + 1]
-        if d_pad and neg[0] != neg[1]:  # the head (-s_2, s_1)
-            indicators.append((desc[0], asc[0]) if neg[0] else (asc[0], desc[0]))
-        else:  # the head (0, s_1), or (-s_2, s_1) with equal signs
-            base += neg[0]
-        if stat == "affdes":  # node 0: the entry of smaller |.| in s_1, s_2 is positive
-            on = (0 if neg[0] else asc[0]) | (0 if neg[1] else desc[0])
-            indicators.append((on, everyone ^ on))
-        # parts[v]: the lanes with v descents among the indicators so far.
-        parts = [everyone]
-        for on, off in indicators:
-            parts = [(a & off) | (b & on) for a, b in zip(parts + [0], [0] + parts)]
-        for v, lanes in enumerate(parts):
-            hist[base + v] += lanes.bit_count()
-    return Polynomial(hist)
+    is_d, affine = group == "D", stat == "affdes"
+    signs = (0,) if group == "A" else (0, 1)
+    # (s_j negated, parity of negated entries for type D) -> each unread class's
+    # distribution so far, packed base 2^w; the head (0, s_1) descends if s_1 < 0.
+    states = {(s, s & is_d): [c << (0 if d_pad else w * s) for c in counts] for s in signs}
+    for i in range(n - 1):  # pair i, (s_(i+1), s_(i+2)), is the low class bit
+        moved = {}
+        for (s, p), vec in states.items():
+            for t in signs:
+                # The descents the pair adds where |.| ascends, descends:
+                # signs +,+ give (0, 1), -,- give (1, 0), mixed ones (t, t).
+                e0, e1 = (s, 1 - s) if s == t else (t, t)
+                if i == 0:
+                    # The head (-s_2, s_1) adds (t, s); node 0 adds one when
+                    # the entry of smaller |.| in s_1, s_2 is positive.
+                    e0 += d_pad * t + affine * (1 - s)
+                    e1 += d_pad * s + affine * (1 - t)
+                row = [(a << w * e0) + (d << w * e1) for a, d in zip(vec[0::2], vec[1::2])]
+                key = (t, (p ^ t) & is_d)
+                moved[key] = list(map(add, moved[key], row)) if key in moved else row
+        states = moved
+    last = (0, 1) if filter == "all" else (filter == "last_negative",)
+    total = sum(vec[0] for (t, p), vec in states.items() if t in last and not p)
+    return Polynomial([total >> w * k & (1 << w) - 1 for k in range(n + 2)])

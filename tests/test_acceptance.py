@@ -3,7 +3,7 @@
 Each criterion prints one PASS/FAIL line.  All comparisons are exact except
 the bisection widths, which are pinned at 10^-6.  The oracle sweep runs type
 A to 10 letters.  Set EULERSTAB_EXTENDED=1 to raise its type-B and type-D
-ranks from 8 to 9, the weak-stability sweep from rank 30 to rank 40, the
+ranks from 9 to 10, the weak-stability sweep from rank 30 to rank 40, the
 interlacing checks from rank 30 to rank 50 and the threshold brackets from
 n = 24 to n = 40.
 """
@@ -55,7 +55,7 @@ P = Polynomial
 X = Polynomial.x()
 
 EXTENDED = os.environ.get("EULERSTAB_EXTENDED") == "1"
-ORACLE_MAX = 9 if EXTENDED else 8
+ORACLE_MAX = 10 if EXTENDED else 9
 ORACLE_A_LETTERS = 10
 WEAK_MAX = 40 if EXTENDED else 30
 INTERLACING_MAX = 50 if EXTENDED else 30
@@ -84,7 +84,8 @@ def test_criterion_02_oracle_equivalence():
             failures.append(label)
 
     def oracle(group, stat, n, flt="all"):
-        # |B_n| bounds every group of rank n; B_9 exceeds the default budget of 10^8.
+        # |B_n| bounds every group of rank n; from B_9 on it exceeds the default
+        # budget of 10^8.
         return distribution(group, stat, n, flt, budget=2**n * factorial(n))
 
     for m in range(1, ORACLE_A_LETTERS + 1):

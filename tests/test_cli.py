@@ -311,6 +311,38 @@ def test_empty_ks_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["verify", "--check", "stability", "--ks=1e999999999"], "1e999999999"),
+        (["verify", "--check", "operator-symbol", "--ks=1,-1E-999999999"], "-1E-999999999"),
+        (["scan", "--conjecture", "distinct-roots", "--n", "4", "--ks=1e4301"], "1e4301"),
+        (["scan", "--conjecture", "stable", "--n", "3", "--width=1e99999999999999999999"], "1e99999999999999999999"),
+    ],
+)
+def test_huge_decimal_exponent_exit_2(argv, bad):
+    # Fraction alone would build 10**exp, so these would run without bound.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "eulerstab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(f"not a rational number: {bad!r}")
+
+
+@pytest.mark.parametrize("exponent, plain", [("1e400", "1" + "0" * 400), ("1e-5", "1/100000"), ("2.5E+3", "2500")])
+def test_decimal_exponent_reads_as_its_rational(exponent, plain):
+    for argv in (["verify", "--check", "stability", "--n-max", "4"], ["scan", "--conjecture", "distinct-roots", "--n", "4"]):
+        want = _capture([*argv, f"--ks={plain}", "--format", "json"])
+        assert _capture([*argv, f"--ks={exponent}", "--format", "json"]) == want
+        assert want[0] == 0
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["scan", "--conjecture", "stable", "--n", "3", "--ks=1,2"], "--ks"),

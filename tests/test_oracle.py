@@ -194,6 +194,15 @@ def test_descent_lanes_match_permutation_comparisons(n):
     assert oracle._descent_lanes(n) == _reference_lanes(n)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_descent_classes_match_permutation_descent_sets(n):
+    # Bit i of a descent set is set when the permutation descends at (i, i + 1).
+    want = Counter(
+        sum(1 << i for i in range(n - 1) if perm[i] > perm[i + 1]) for perm in permutations(range(1, n + 1))
+    )
+    assert oracle._descent_classes(n) == [want[cls] for cls in range(1 << (n - 1))]
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         distribution("B", "des", 10, budget=1000)
