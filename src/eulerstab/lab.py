@@ -39,7 +39,7 @@ from .eulerian import (
     half_d,
     zigzag,
 )
-from .polynomial import Polynomial, Scalar, _coerce
+from .polynomial import Polynomial, Scalar, _coerce, _from_row, _ratio
 from .stability import (
     STRICTLY_STABLE,
     WEAKLY_STABLE,
@@ -128,10 +128,11 @@ def merge_reports(check_id: str, reports: Sequence[VerificationReport]) -> Verif
 
 
 def stability_family(n: int, k: Scalar) -> Polynomial:
-    """(x+1)*A_{n-1}(x) + k*x*A_{n-2}(x), n >= 2."""
+    """(x+1)*A_{n-1}(x) + k*x*A_{n-2}(x), n >= 2, built on integer rows."""
     if n < 2:
         raise ValueError("the stability family needs n >= 2")
-    return _ONE_PLUS_X * eulerian_a(n - 1) + _coerce(k) * _X * eulerian_a(n - 2)
+    (num, den), a, b = _ratio(k), eulerian_a(n - 1)._row, eulerian_a(n - 2)._row
+    return _from_row([den * (x + y) + num * z for x, y, z in zip([*a, 0], [0, *a], [0, *b, 0])], den)
 
 
 def apply_stability_operator(p: Polynomial, n: int, k: Scalar) -> Polynomial:

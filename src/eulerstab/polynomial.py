@@ -13,7 +13,7 @@ Every ring operation and evaluation runs on Python ints, and output prints
 from the row's decimal strings (`coeff_strings`); `coeffs` builds canonical
 Fractions only when it is read.  Only division runs on Fractions.  The gcd
 and Sturm paths share one primitive remainder sequence on integer rows
-(`_remainder_rows`).
+(`_remainder_rows`), each pseudo-division run in place on one integer list.
 
 The degree of the zero polynomial is the distinguished marker
 ``NEG_INFINITY`` (``float("-inf")``), which compares below every integer.
@@ -324,28 +324,36 @@ def _horner(row: Sequence[int], num: int, den: int) -> int:
 
 def _primitive(ints: Sequence[int]) -> Tuple[int, ...]:
     g = _int_gcd(*ints)
-    return tuple([v // g for v in ints])
+    return tuple(ints) if g == 1 else tuple([v // g for v in ints])
 
 
 def _remainder_rows(p: Polynomial, q: Polynomial) -> List[Tuple[int, ...]]:
     """Primitive integer rows of the nonzero ones among p and q, then the
     negated primitive pseudo-remainder of the last two rows, up to the first
-    zero remainder.  Each step scales the remainder by a positive integer
-    before it subtracts, so a row is a positive multiple of the negated
-    rational remainder: its primitive form, which is unique."""
+    zero remainder.  Each pseudo-division runs in place on one list, the
+    negated dividend, top coefficient c first: the part below c is scaled by
+    m / gcd(m, c), m the divisor's |leading coefficient|, only when that is
+    not 1, and a multiple of the divisor clears c.  With every scale positive,
+    a row is the unique primitive form of the negated rational remainder."""
     rows = [primitive_integer_coeffs(f) for f in (p, q) if not f.is_zero]
     while len(rows) > 1:
-        r, b = rows[-2], rows[-1]
+        r, b = [-x for x in rows[-2]], rows[-1]
         s, m = (1, b[-1]) if b[-1] > 0 else (-1, -b[-1])
-        while len(r) >= len(b):
-            g = _int_gcd(m, r[-1])
-            u, v, k = m // g, s * (r[-1] // g), len(r) - len(b)
-            r = [u * x for x in r[:k]] + [u * x - v * y for x, y in zip(r[k:-1], b)]
-            while r and not r[-1]:
-                r.pop()
+        d = len(b) - 1
+        for i in range(len(r) - 1, d - 1, -1):
+            if r[i]:
+                g = _int_gcd(m, r[i])
+                u, v, k = m // g, s * (r[i] // g), i - d
+                if u != 1:
+                    r[:i] = [u * x for x in r[:i]]
+                for j in range(d):
+                    r[k + j] -= v * b[j]
+        del r[d:]
+        while r and not r[-1]:
+            r.pop()
         if not r:
             break
-        rows.append(_primitive([-x for x in r]))
+        rows.append(_primitive(r))
     return rows
 
 

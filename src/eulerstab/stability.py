@@ -5,7 +5,7 @@ Every decision in this module is made in exact rational arithmetic:
 * Sturm chains, whose rows are primitive pseudo-remainders computed on
   integer rows, count distinct real roots in an interval by sign-variation
   differences.  Every sign decision in this module, exact-zero tests
-  included, is made on primitive integer rows.
+  included, is made on integer rows over positive denominators.
 * The Cauchy index Ind(g/f) over the reals is V(-inf) - V(+inf) on the
   signed remainder sequence (f, g, -rem(f, g), ...), read from the signs of
   the leading coefficients and the parities of the degrees alone (Basu,
@@ -387,7 +387,8 @@ def _interlaced(g: Polynomial, f: Polynomial) -> bool:
     Ind(g/f) = deg f - deg h and h = gcd(f, g), the last row of the
     remainder sequence of (f, g), is real-rooted (see the module notes)."""
     rows = _remainder_rows(f, g)
-    return _index(rows) == len(rows[0]) - len(rows[-1]) and is_real_rooted(Polynomial(rows[-1]))
+    h = rows[-1]
+    return _index(rows) == len(rows[0]) - len(h) and (len(h) == 1 or is_real_rooted(Polynomial(h)))
 
 
 def interlaces(g: Polynomial, f: Polynomial) -> bool:
@@ -402,7 +403,7 @@ def interlaces(g: Polynomial, f: Polynomial) -> bool:
     """
     if f.is_zero or g.is_zero:
         raise ValueError("interlacing is undefined for the zero polynomial")
-    if f.leading_coefficient <= 0 or g.leading_coefficient <= 0:
+    if f._row[-1] <= 0 or g._row[-1] <= 0:
         raise ValueError("interlacing requires positive leading coefficients")
     if g.degree not in (f.degree - 1, f.degree):
         raise ValueError("degree of g must be deg(f) or deg(f) - 1")
@@ -454,10 +455,10 @@ def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
     if p.is_zero:
         ev = HermiteBiehlerEvidence(None, None, None, "zero polynomial vanishes identically")
         return StabilityCertificate(UNSTABLE, ev)
-    if p.leading_coefficient < 0:
+    if p._row[-1] < 0:
         p = -p
     even, odd = p.even_odd_split()
-    nonnegative = min(primitive_integer_coeffs(p)) >= 0
+    nonnegative = min(p._row) >= 0
 
     if even.is_zero or odd.is_zero:
         ok = nonnegative and is_real_rooted(even if odd.is_zero else odd)
@@ -477,13 +478,13 @@ def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
     # A part q has a root r > 0 iff q(y^2) has the real roots +-sqrt(r).  With
     # no other failure p's coefficients are nonnegative, so the index was read.
     problems = []
-    if even.leading_coefficient <= 0 or odd.leading_coefficient <= 0:
+    if even._row[-1] <= 0 or odd._row[-1] <= 0:
         problems.append("an even/odd part has a nonpositive leading coefficient")
     if not is_real_rooted(even):
         problems.append("even part is not real-rooted")
     if not is_real_rooted(odd):
         problems.append("odd part is not real-rooted")
-    if any(_count_real(q.of_x_squared()) > (q.constant_term == 0) for q in (even, odd)):
+    if any(_count_real(q.of_x_squared()) > (q._row[0] == 0) for q in (even, odd)):
         problems.append("a part has a positive real root")
     if not compatible:
         problems.append("even/odd degrees are incompatible with interlacing")
@@ -570,12 +571,12 @@ def is_strictly_hurwitz_stable(p: Polynomial) -> StabilityCertificate:
     """
     if p.is_zero:
         raise ValueError("stability is undefined for the zero polynomial")
-    if p.leading_coefficient <= 0:
+    if p._row[-1] <= 0:
         raise ValueError("the leading coefficient must be positive; normalize the sign first")
     even, odd = p.even_odd_split()
     interlacing: Optional[bool] = None
     detail = "a coefficient is not positive"
-    if min(primitive_integer_coeffs(p)) > 0:
+    if min(p._row) > 0:
         interlacing = _index(_remainder_rows(even, odd)) == even.degree
         detail = "" if interlacing else "odd part does not strictly interlace the even part"
     ev = HermiteBiehlerEvidence(

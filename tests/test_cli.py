@@ -194,6 +194,20 @@ def test_verify_stability_failure_text_is_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_verify_stability_failure_details_are_pinned():
+    # 39 failures among 90 checks, under 8 distinct detail texts, the
+    # non-interlacing odd part among them: the failing verdicts' evidence.
+    argv = ["verify", "--check", "stability", "--n-max", "16", "--ks=-40,-20,-13,-7/2,0,5/2"]
+    code, out = _capture([*argv, "--format", "json"])
+    assert code == 1
+    rec = json.loads(out)
+    assert rec["checks"] == 90 and len(rec["failures"]) == 39
+    details = {f["description"].split(" (", 1)[1] for f in rec["failures"]}
+    assert len(details) == 8 and "odd part does not interlace the even part)" in details
+    digest = "48773fd2c4a5c97bc3f5afef4db74d34b6797f0817fd4d6117733ef1c8f406be"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_scan_stable_n3_reports_conjectured_value():
     code, out = _capture(
         ["scan", "--conjecture", "stable", "--n", "3", "--width", "1/1000000", "--format", "json"]

@@ -131,6 +131,26 @@ def test_stability_family_construction():
     assert stability_family(3, -4) == P([1, 1, 1, 1])
 
 
+@pytest.mark.parametrize("n", range(2, 31))
+def test_stability_family_matches_its_product_form(n):
+    # The row is built from A's integer rows; pin it to the product form.
+    ks = [0, 7, -n, -3 * n - 1, F(-7, 2), F(10**40 + 1, 3**60), F(-(10**30), 10**30 + 7)]
+    if n == 2:
+        ks += [-1, -2]  # at k = -2 the odd part 2 + k vanishes
+        assert stability_family(2, -2).even_odd_split()[1].is_zero
+    for k in ks:
+        expected = P([1, 1]) * eulerian_a(n - 1) + k * P([0, 1]) * eulerian_a(n - 2)
+        assert stability_family(n, k) == expected
+
+
+def test_stability_family_rejects_float_k_and_low_rank():
+    with pytest.raises(TypeError):
+        stability_family(5, 0.5)
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError):
+            stability_family(n, 1)
+
+
 def test_verify_family_stability_small():
     for n in range(2, 9):
         report = verify_family_stability(n, default_k_grid(n))

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from itertools import permutations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from eulerstab.polynomial import (
     NEG_INFINITY,
     Polynomial,
+    _remainder_rows,
     interleave,
     poly_gcd,
     primitive_integer_coeffs,
@@ -276,6 +278,56 @@ def test_gcd_examples():
 def test_gcd_of_two_zeros_is_an_error():
     with pytest.raises(ValueError):
         poly_gcd(P(), P())
+
+
+def _primitive_form(f):
+    """f scaled by the positive rational that makes its entries coprime
+    integers, computed from the Fraction coefficients."""
+    den = lcm(*[c.denominator for c in f.coeffs])
+    ints = [int(c * den) for c in f.coeffs]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def _signed_remainder_rows(p, q):
+    """The nonzero ones among p and q, then -rem(f, g) of the last two
+    (f, g) by divmod over Q, up to the first zero remainder, each in
+    primitive integer form."""
+    seq = [f for f in (p, q) if not f.is_zero]
+    while len(seq) > 1:
+        r = seq[-2] % seq[-1]
+        if r.is_zero:
+            break
+        seq.append(-r)
+    return [_primitive_form(f) for f in seq]
+
+
+# zeros drawn often, for interior zero coefficients and degree gaps > 1;
+# rationals, for divisor leading coefficients that do not divide the top
+kernel_coeffs = st.just(0) | st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=5)
+kernel_polys = st.lists(kernel_coeffs, max_size=8).map(P)
+shared_factors = st.lists(st.integers(-4, 4), min_size=2, max_size=3).map(P).filter(lambda h: not h.is_zero)
+
+
+@given(kernel_polys, kernel_polys, shared_factors)
+@example(P([1, 0, 0, 0, 1]), P([0, 0, 0, 1]), P([1]))  # the degree drops from 3 to 0
+@example(P([1, 2, -3]), P([-1, -5]), P([3, -2]))  # negative leading coefficients
+@example(P([1, 1]), P([1, 0, 2]), P([1, 1]))  # deg p < deg q
+@example(P(), P([2, 4]), P([1, 1]))  # one zero input
+@example(P([3, 0, 0, 2, 0, 1]), P([0, 5, 0, -4]), P([-2, 0, 3]))  # interior zeros
+@settings(max_examples=300, deadline=None)
+def test_remainder_rows_match_the_signed_remainder_sequence_over_q(p, q, h):
+    # (p*h, q*h) share the factor h, so their last row is nonconstant
+    # whenever h is: the sequence stops at a zero remainder, not a constant.
+    for a, b in ((p, q), (p * h, q * h)):
+        assert _remainder_rows(a, b) == _signed_remainder_rows(a, b)
+
+
+def test_remainder_rows_end_at_a_shared_factor():
+    h = P([1, 1])
+    rows = _remainder_rows(h**2 * P([-2, 1]), h * P([3, 1]))
+    assert rows == _signed_remainder_rows(h**2 * P([-2, 1]), h * P([3, 1]))
+    assert rows[-1] == (-1, -1)  # -(x + 1), the gcd up to sign
 
 
 def test_primitive_integer_coeffs():

@@ -660,6 +660,25 @@ def test_decisions_read_no_fraction_coefficients(monkeypatch):
         assert hermite_biehler_weakly_stable(p).verdict == UNSTABLE
 
 
+def test_integer_certificates_build_no_fraction(monkeypatch):
+    # From the family to the verdict, an integer input stays on integer
+    # rows: signs are read off the row, not from Fraction coefficients.
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("an integer stability certificate built a Fraction")
+
+    strict = [P([1, 1]) ** 5, P([2, 3, 5, 1]), P([1, 1]) ** 2 * P([1, 1, 1])]
+    monkeypatch.setattr(F, "__new__", staticmethod(refuse))
+    verdicts = {
+        hermite_biehler_weakly_stable(stability_family(n, k)).verdict
+        for n in range(2, 13)
+        for k in range(-3 * n, 6)
+    }
+    strict_verdicts = [is_strictly_hurwitz_stable(p).verdict for p in strict]
+    monkeypatch.undo()
+    assert verdicts == {WEAKLY_STABLE, UNSTABLE}
+    assert strict_verdicts == [STRICTLY_STABLE] * 3
+
+
 def test_interlacing_failure_builds_one_part_sequence(monkeypatch):
     built = []
     remainder_rows = stability._remainder_rows
