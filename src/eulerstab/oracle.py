@@ -27,23 +27,24 @@ and pair 0 descends on the first (a-1)*(m-2)! lanes of block a.
 
 Counting has two stages.  The lanes are split pair by pair into descent
 classes, counting every permutation from its own lane: the number with each
-descent set (Stanley's beta_n(S), EC1 section 1.4).  Under a padded-window
-rule each pair is a descent never, always, or where the absolute values
-descend (signs +,+) or ascend (signs -,-), so one transfer over positions
-sums the sign masks instead of visiting them one at a time: its state is the
-sign of the current entry (and, for type D, the parity of the negated
-entries), each class's distribution is packed into one int, and each pair
-folds the classes two into one.  A budget guard refuses group orders that
-are too large to enumerate.
+descent set (Stanley's beta_n(S), EC1 section 1.4), built once per rank and
+cached, one slot per class in one int.  Under a padded-window rule each pair
+is a descent never, always, or where the absolute values descend (signs +,+)
+or ascend (signs -,-), so one transfer over positions sums the sign masks
+instead of visiting them one at a time: its state is the sign of the current
+entry (and, for type D, the parity of the negated entries), each state is
+one int of class slots, and each pair folds them two into one with a shift.
+A budget guard refuses group orders too large to enumerate before the cache
+is read, so it bounds the one class build per rank.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial
-from operator import add
 from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _from_row
 
 # (group, statistic) -> lowest rank, for every pair with a distribution; a
 # group's own "des" row is also the domain of the group itself.
@@ -195,6 +196,16 @@ def _descent_classes(n: int) -> List[int]:
     return counts
 
 
+@cache
+def _packed_classes(n: int) -> Tuple[int, int, int]:
+    """(w, slot, packed): rank n's descent classes, little-endian, in slots of
+    n + 2 digits of w bits, where 2^w > |B_n| = 2^n * n! bounds every group."""
+    w = (2**n * factorial(n)).bit_length()
+    size = -(-(n + 2) * w // 8)
+    packed = b"".join(c.to_bytes(size, "little") for c in _descent_classes(n))
+    return w, size * 8, int.from_bytes(packed, "little")
+
+
 def distribution(
     group: str,
     stat: str,
@@ -229,17 +240,21 @@ def distribution(
     if order > budget:
         raise BudgetExceededError(f"group order {order} exceeds the enumeration budget {budget}")
 
-    counts = _descent_classes(n)
-    w = order.bit_length()  # digit width: no coefficient reaches the order
+    w, slot, packed = _packed_classes(n)
     d_pad = stat == "des_d" or (stat == "des" and group == "D")
     is_d, affine = group == "D", stat == "affdes"
     signs = (0,) if group == "A" else (0, 1)
     # (s_j negated, parity of negated entries for type D) -> each unread class's
-    # distribution so far, packed base 2^w; the head (0, s_1) descends if s_1 < 0.
-    states = {(s, s & is_d): [c << (0 if d_pad else w * s) for c in counts] for s in signs}
-    for i in range(n - 1):  # pair i, (s_(i+1), s_(i+2)), is the low class bit
+    # distribution so far, one slot each; the head (0, s_1) descends if s_1 < 0.
+    states = {(s, s & is_d): packed << (0 if d_pad else w * s) for s in signs}
+    for i in range(n - 1):  # pair i, (s_(i+1), s_(i+2)), is class bit i
+        # The live classes sit every 2^i slots, each one's partner with bit i
+        # set gap bits higher.  No mask clears the other slots: a digit there
+        # counts distinct elements at most n + 1 digits up, so none carries.
+        gap = slot << i
         moved = {}
         for (s, p), vec in states.items():
+            desc = vec >> gap
             for t in signs:
                 # The descents the pair adds where |.| ascends, descends:
                 # signs +,+ give (0, 1), -,- give (1, 0), mixed ones (t, t).
@@ -249,10 +264,9 @@ def distribution(
                     # the entry of smaller |.| in s_1, s_2 is positive.
                     e0 += d_pad * t + affine * (1 - s)
                     e1 += d_pad * s + affine * (1 - t)
-                row = [(a << w * e0) + (d << w * e1) for a, d in zip(vec[0::2], vec[1::2])]
                 key = (t, (p ^ t) & is_d)
-                moved[key] = list(map(add, moved[key], row)) if key in moved else row
+                moved[key] = moved.get(key, 0) + (vec << w * e0) + (desc << w * e1)
         states = moved
     last = (0, 1) if filter == "all" else (filter == "last_negative",)
-    total = sum(vec[0] for (t, p), vec in states.items() if t in last and not p)
-    return Polynomial([total >> w * k & (1 << w) - 1 for k in range(n + 2)])
+    total = sum(vec for (t, p), vec in states.items() if t in last and not p)
+    return _from_row([total >> w * k & (1 << w) - 1 for k in range(n + 2)])

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from itertools import permutations, product, starmap
+from math import factorial
 from operator import gt, itemgetter
 
 import pytest
@@ -206,6 +207,54 @@ def test_descent_classes_match_permutation_descent_sets(n):
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         distribution("B", "des", 10, budget=1000)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_packed_classes_hold_the_descent_classes_one_per_slot(n):
+    oracle._packed_classes.cache_clear()
+    w, slot, packed = oracle._packed_classes(n)
+    assert slot % 8 == 0 and slot >= (n + 2) * w
+    assert 2**w > 2**n * factorial(n)
+    classes = oracle._descent_classes(n)
+    assert packed >> slot * len(classes) == 0
+    assert [packed >> slot * j & (1 << slot) - 1 for j in range(len(classes))] == classes
+
+
+# Criterion c2's calls at rank 6: type A at 6 letters, then every B and D row.
+_C2_RANK6_CALLS = [("A", "des", "all"), ("A", "des", "last_positive")] + [
+    (group, stat, flt)
+    for group, stat in (("B", "des"), ("B", "affdes"), ("D", "des"), ("D", "des_d"), ("B", "des_d"))
+    for flt in FILTERS
+]
+
+
+def test_packed_classes_are_built_once_per_rank(monkeypatch):
+    oracle._packed_classes.cache_clear()
+    built = []
+    descent_classes = oracle._descent_classes
+    monkeypatch.setattr(oracle, "_descent_classes", lambda n: built.append(n) or descent_classes(n))
+    assert len(_C2_RANK6_CALLS) == 17
+    for group, stat, flt in _C2_RANK6_CALLS:
+        distribution(group, stat, 6, flt)
+    assert built == [6]
+
+
+def test_budget_guard_holds_after_the_cache_is_filled():
+    oracle._packed_classes.cache_clear()
+    assert distribution("B", "des", 8) == eulerian_b(8)
+    with pytest.raises(BudgetExceededError, match="group order 10321920 exceeds the enumeration budget 1000"):
+        distribution("B", "des", 8, budget=1000)
+
+
+def test_refused_call_builds_no_classes():
+    oracle._packed_classes.cache_clear()
+    distribution("A", "des", 3)
+    size = oracle._packed_classes.cache_info().currsize
+    with pytest.raises(BudgetExceededError):
+        distribution("B", "des", 9, budget=1000)
+    with pytest.raises(ValueError, match="needs rank"):
+        distribution("B", "affdes", 1)
+    assert oracle._packed_classes.cache_info().currsize == size
 
 
 def test_budget_guard_skips_order_of_huge_rank(monkeypatch):
