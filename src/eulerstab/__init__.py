@@ -45,14 +45,9 @@ _EXPORTS = {
     ),
     "oracle": (
         "BudgetExceededError",
-        "SignedPerm",
-        "affdes_b",
-        "des_a",
-        "des_b",
-        "des_d",
         "distribution",
     ),
-    "polynomial": ("NEG_INFINITY", "Polynomial", "Rational", "interleave", "poly_gcd"),
+    "polynomial": ("NEG_INFINITY", "Polynomial", "interleave", "poly_gcd"),
     "stability": (
         "STRICTLY_STABLE",
         "UNSTABLE",
@@ -63,7 +58,6 @@ _EXPORTS = {
         "StabilityCertificate",
         "SturmChain",
         "approximate_real_roots",
-        "count_real_roots",
         "hermite_biehler_weakly_stable",
         "hurwitz_determinants",
         "interlaces",

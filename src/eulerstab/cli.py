@@ -171,7 +171,7 @@ def zigzag_record(table: ZigzagTable) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "n": len(table) - 1,
-        "values": [str(v) for v in table.values],
+        "values": [str(v) for v in table],
     }
 
 
@@ -238,12 +238,12 @@ def _brackets_table(brackets: List[ThresholdBracket]):
 
 
 def _zigzag_text(table: ZigzagTable) -> str:
-    return "E_0..E_{}: {}".format(len(table) - 1, ", ".join(str(v) for v in table.values))
+    return "E_0..E_{}: {}".format(len(table) - 1, ", ".join(str(v) for v in table))
 
 
 def _zigzags_table(tables: List[ZigzagTable]):
     header = [f"E{i}" for i in range(len(tables[0]))]
-    return header, [[str(v) for v in t.values] for t in tables]
+    return header, [[str(v) for v in t] for t in tables]
 
 
 # Per kind, by class name so that emitting needs no layer the command did not
@@ -297,11 +297,15 @@ def emit(obj, fmt: str, *, summary: bool = False, **meta) -> str:
 # subcommands
 
 
-def _ranks(ns: argparse.Namespace) -> List[int]:
+def _top_rank(ns: argparse.Namespace) -> int:
     hi = ns.n if ns.n_max is None else ns.n_max
     if hi < ns.n:
         raise ValueError(f"empty rank range {ns.n}..{hi}")
-    return list(range(ns.n, hi + 1))
+    return hi
+
+
+def _ranks(ns: argparse.Namespace) -> List[int]:
+    return list(range(ns.n, _top_rank(ns) + 1))
 
 
 def _failed(reports: List[VerificationReport]) -> bool:
@@ -337,6 +341,8 @@ def _cmd_oracle(ns: argparse.Namespace) -> tuple[str, int]:
     from . import oracle
 
     try:
+        # The top rank's group is the largest: refuse it before listing any.
+        oracle.check_request(ns.group, ns.stat, _top_rank(ns), ns.filter, ns.budget)
         records = [
             polynomial_record(
                 oracle.distribution(ns.group, ns.stat, n, ns.filter, budget=ns.budget),

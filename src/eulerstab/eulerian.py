@@ -191,10 +191,6 @@ class ZigzagTable(tuple):
 
     __slots__ = ()
 
-    @property
-    def values(self) -> Tuple[int, ...]:
-        return tuple(self)
-
     def ratio(self, n: int) -> Fraction:
         """E_n / E_{n-1} as an exact rational, for 1 <= n <= len - 1."""
         if n < 1:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
-from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import List, Tuple
 
 from .polynomial import Polynomial, _from_row
 
@@ -65,84 +65,6 @@ DEFAULT_BUDGET = 10**8
 
 class BudgetExceededError(RuntimeError):
     """The requested enumeration is larger than the configured budget."""
-
-
-class _SignedPermFields(NamedTuple):
-    window: Tuple[int, ...]
-
-
-class SignedPerm(_SignedPermFields):
-    """Signed permutation in window notation."""
-
-    __slots__ = ()
-
-    def __new__(cls, window: Iterable[int]) -> "SignedPerm":
-        w = tuple(window)
-        if sorted(abs(v) for v in w) != list(range(1, len(w) + 1)):
-            raise ValueError(
-                "window entries must be nonzero and cover 1..n in absolute value"
-            )
-        return super().__new__(cls, w)
-
-    @property
-    def n(self) -> int:
-        return len(self.window)
-
-    def is_even_signed(self) -> bool:
-        """True when the element lies in the type-D subgroup."""
-        return sum(1 for v in self.window if v < 0) % 2 == 0
-
-
-WindowLike = Union[SignedPerm, Sequence[int]]
-
-
-def _window_of(sp: WindowLike) -> Tuple[int, ...]:
-    if isinstance(sp, SignedPerm):
-        return sp.window
-    return SignedPerm(tuple(sp)).window
-
-
-def _descents(seq: Sequence[int]) -> int:
-    return sum(1 for a, b in zip(seq, seq[1:]) if a > b)
-
-
-def des_a(perm: Iterable[int]) -> int:
-    """Descents of a sequence of distinct integers."""
-    seq = tuple(perm)
-    if len(set(seq)) != len(seq):
-        raise ValueError("entries must be distinct")
-    return _descents(seq)
-
-
-def des_b(sp: WindowLike) -> int:
-    """Type-B descents: descents of the window padded with s_0 = 0."""
-    w = _window_of(sp)
-    return _descents((0,) + w)
-
-
-def des_d(sp: WindowLike) -> int:
-    """Type-D descents: descents of the window padded with s_0 = -s_2.
-
-    Defined on every signed permutation of rank >= 2, not only on
-    even-signed ones.
-    """
-    w = _window_of(sp)
-    if len(w) < 2:
-        raise ValueError("the type-D statistic needs rank >= 2")
-    return _descents((-w[1],) + w)
-
-
-def _node0_affine_descent(w: Tuple[int, ...]) -> bool:
-    a, b = w[0], w[1]
-    return (a if abs(a) < abs(b) else b) > 0
-
-
-def affdes_b(sp: WindowLike) -> int:
-    """Affine type-B descents: des_b plus the node-0 contribution."""
-    w = _window_of(sp)
-    if len(w) < 2:
-        raise ValueError("the affine type-B statistic needs rank >= 2")
-    return _descents((0,) + w) + (1 if _node0_affine_descent(w) else 0)
 
 
 def group_order(group: str, n: int) -> int:
@@ -206,21 +128,8 @@ def _packed_classes(n: int) -> Tuple[int, int, int]:
     return w, size * 8, int.from_bytes(packed, "little")
 
 
-def distribution(
-    group: str,
-    stat: str,
-    n: int,
-    filter: str = "all",
-    budget: int = DEFAULT_BUDGET,
-) -> Polynomial:
-    """Exact distribution polynomial of a statistic over a filtered group.
-
-    group selects the element set (A: permutations of 1..n, B: all signed
-    permutations, D: even-signed ones); stat selects the statistic, where
-    "des" means the group's own descent statistic and "des_d" forces the
-    type-D rule on any signed group; filter restricts by the sign of the
-    last window entry.
-    """
+def check_request(group: str, stat: str, n: int, filter: str, budget: int) -> None:
+    """Raise the error `distribution` refuses these arguments with, if any."""
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
     if stat not in STATS:
@@ -240,6 +149,23 @@ def distribution(
     if order > budget:
         raise BudgetExceededError(f"group order {order} exceeds the enumeration budget {budget}")
 
+
+def distribution(
+    group: str,
+    stat: str,
+    n: int,
+    filter: str = "all",
+    budget: int = DEFAULT_BUDGET,
+) -> Polynomial:
+    """Exact distribution polynomial of a statistic over a filtered group.
+
+    group selects the element set (A: permutations of 1..n, B: all signed
+    permutations, D: even-signed ones); stat selects the statistic, where
+    "des" means the group's own descent statistic and "des_d" forces the
+    type-D rule on any signed group; filter restricts by the sign of the
+    last window entry.
+    """
+    check_request(group, stat, n, filter, budget)
     w, slot, packed = _packed_classes(n)
     d_pad = stat == "des_d" or (stat == "des" and group == "D")
     is_d, affine = group == "D", stat == "affdes"

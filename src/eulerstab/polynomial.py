@@ -25,7 +25,6 @@ from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, List, Sequence, Tuple, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 #: Degree of the zero polynomial.

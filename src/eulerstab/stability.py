@@ -101,15 +101,6 @@ class SturmChain(NamedTuple):
         x = _coerce(point)
         return _changes([_horner(row, x.numerator, x.denominator) for row in self.rows])
 
-    def count(self, lo: Scalar, hi: Scalar) -> int:
-        """Distinct real roots of polys[0] in the open interval (lo, hi)."""
-        lo, hi = _coerce(lo), _coerce(hi)
-        if not lo < hi:
-            raise ValueError("need lo < hi")
-        if not _sign_at(self.rows[0], lo) or not _sign_at(self.rows[0], hi):
-            raise ValueError("interval endpoints must not be roots")
-        return self.variations(lo) - self.variations(hi)
-
 
 def _sign_at(row: Sequence[int], x: Fraction) -> int:
     """Sign of the integer row's polynomial at x."""
@@ -129,11 +120,6 @@ def sturm_chain(p: Polynomial) -> SturmChain:
     d = p.derivative()
     rows = _remainder_rows(p, d)
     return SturmChain((p, d, *map(Polynomial, rows[2:]))[: len(rows)], tuple(rows))
-
-
-def count_real_roots(p: Polynomial, lo: Scalar, hi: Scalar) -> int:
-    """Distinct real roots of p in (lo, hi); endpoints must not be roots."""
-    return sturm_chain(p).count(lo, hi)
 
 
 def _index(rows: Sequence[Sequence[int]]) -> int:
@@ -204,10 +190,6 @@ class RootIsolation(tuple):
     a tuple of IsolatedRoot."""
 
     __slots__ = ()
-
-    @property
-    def roots(self) -> Tuple[IsolatedRoot, ...]:
-        return tuple(self)
 
     @property
     def total_multiplicity(self) -> int:

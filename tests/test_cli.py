@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import eulerstab
 from eulerstab import cli, lab, oracle
 from eulerstab.cli import (
     emit,
@@ -143,6 +144,14 @@ def test_oracle_budget_exit_2(capsys):
     code, out = _capture(["oracle", "--group", "B", "--stat", "des", "--n", "12", "--budget", "100"])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == "error: group order at rank 12 exceeds the enumeration budget 100\n"
+
+
+def test_oracle_budget_refuses_a_huge_top_rank_before_listing_ranks(capsys):
+    code, out = _capture(["oracle", "--group", "A", "--n", "1", "--n-max", "1000000000000000"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: group order at rank 1000000000000000 exceeds the enumeration budget 100000000\n"
+    )
 
 
 def test_oracle_incompatible_exit_2():
@@ -397,7 +406,7 @@ def test_zigzag_beyond_int_str_digit_limit():
     # E_2000 has over 5,000 digits, past Python's default int-to-str limit.
     code, out = _capture(["zigzag", "--n", "2000"])
     assert code == 0
-    assert out.rstrip("\n").rsplit(", ", 1)[1] == str(zigzag(2000).values[-1])
+    assert out.rstrip("\n").rsplit(", ", 1)[1] == str(zigzag(2000)[-1])
 
 
 def test_closed_pipe_exits_quietly():
@@ -448,6 +457,12 @@ def test_cli_import_loads_no_layer_before_its_command():
     runs = "c.run(['zigzag', '--n', '5']); c.run(['gen', '--family', 'B', '--n', '4', '--format', 'csv'])"
     out = _loaded_after(f"{quiet}\nwith contextlib.redirect_stdout(f): {runs}", layers)
     assert out == "['eulerstab.oracle']\n"
+
+
+def test_every_export_resolves_and_is_listed():
+    for name in eulerstab.__all__:
+        assert getattr(eulerstab, name) is not None, name
+    assert set(eulerstab.__all__) <= set(dir(eulerstab))
 
 
 def test_oracle_import_loads_no_closed_form_layer():

@@ -12,7 +12,6 @@ from eulerstab.polynomial import Polynomial, _remainder_rows, poly_gcd
 from eulerstab.stability import (
     _index,
     approximate_real_roots,
-    count_real_roots,
     hermite_biehler_weakly_stable,
     interlaces,
     is_real_rooted,
@@ -112,7 +111,8 @@ def test_count_real_roots_matches_sympy(p, lo, hi):
     assume(lo < hi)
     sp, a, b = _to_sympy(p), _rational(lo), _rational(hi)
     assume(sp.eval(a) != 0 and sp.eval(b) != 0)
-    assert count_real_roots(p, lo, hi) == sp.count_roots(a, b)
+    chain = sturm_chain(p)
+    assert chain.variations(lo) - chain.variations(hi) == sp.count_roots(a, b)
 
 
 @given(_products(), _products(), _products())

@@ -90,6 +90,17 @@ def test_d_affine_records_failed_interlacing_precondition(monkeypatch):
     ) in report.failures
 
 
+def test_d_affine_failed_interlacing_of_real_rooted_polynomials(monkeypatch):
+    # (1 + x)^3 is real-rooted with a positive leading coefficient but does
+    # not interlace affine_b(3), whose roots are 0 and two irrational ones.
+    checks = verify_d_affine_b(3).checks_run
+    monkeypatch.setattr(lab, "eulerian_d", lambda n: P([1, 1]) ** 3)
+    report = verify_d_affine_b(3)
+    assert report.checks_run == checks
+    assert (3, "type-D roots do not interlace the affine type-B roots") in report.failures
+    assert not any("real-rooted" in message for _, message in report.failures)
+
+
 def test_d_affine_rejects_rank_1():
     with pytest.raises(ValueError):
         verify_d_affine_b(1)

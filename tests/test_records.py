@@ -8,7 +8,6 @@ import pytest
 
 from eulerstab.eulerian import FamilyId, zigzag
 from eulerstab.lab import ThresholdBracket, VerificationReport
-from eulerstab.oracle import SignedPerm
 from eulerstab.polynomial import Polynomial as P
 from eulerstab.stability import (
     IsolatedRoot,
@@ -41,12 +40,11 @@ def test_record_contracts():
     weak, strict = hermite_biehler_weakly_stable(p), is_strictly_hurwitz_stable(p)
     frozen = [
         (FamilyId("A", 3), "rank"),
-        (zigzag(3), "values"),
-        (SignedPerm((2, -1)), "window"),
+        (zigzag(3), "ratio"),
         (ThresholdBracket(3, F(-5), F(-4), F(-9, 2)), "upper"),
         (chain, "rows"),
         (roots[0], "lo"),
-        (RootIsolation(roots), "roots"),
+        (RootIsolation(roots), "total_multiplicity"),
         (weak.evidence, "detail"),
         (strict.evidence, "detail"),
         (weak, "verdict"),
@@ -59,9 +57,6 @@ def test_record_contracts():
         FamilyId("Q", 3)
     with pytest.raises(ValueError, match=r"^family D needs rank >= 2, got 1$"):
         FamilyId("D", 1)
-    with pytest.raises(ValueError, match=r"^window entries must be nonzero and cover 1\.\.n in absolute value$"):
-        SignedPerm([1, 3])
-    assert SignedPerm([2, -1]).window == (2, -1)
 
     a, b = VerificationReport("x", (1, 2)), VerificationReport("x", (1, 2))
     a.check(1, False, "boom")

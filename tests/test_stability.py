@@ -19,7 +19,6 @@ from eulerstab.stability import (
     UNSTABLE,
     WEAKLY_STABLE,
     approximate_real_roots,
-    count_real_roots,
     hermite_biehler_weakly_stable,
     hurwitz_determinants,
     interlaces,
@@ -38,10 +37,17 @@ X = Polynomial.x()
 # Sturm chains and root counting
 
 
+def _sturm_count(p, lo, hi):
+    # Distinct real roots of p in (lo, hi), neither end a root (Sturm).
+    chain = sturm_chain(p)
+    return chain.variations(lo) - chain.variations(hi)
+
+
 def test_sturm_chain_examples():
-    assert sturm_chain(P([-2, 0, 1])).count(-2, 2) == 2
-    assert sturm_chain(P([1, 0, 1])).count(-10, 10) == 0
-    assert sturm_chain(P([1, 4, 1])).count(-4, 0) == 2
+    assert _sturm_count(P([-2, 0, 1]), -2, 2) == 2
+    assert _sturm_count(P([1, 0, 1]), -10, 10) == 0
+    assert _sturm_count(P([1, 4, 1]), -4, 0) == 2
+    assert _sturm_count(X, -1, 1) == 1
 
 
 def test_sturm_chain_structure():
@@ -67,21 +73,6 @@ def test_sturm_chain_ends_at_common_factor():
     assert last.monic() == poly_gcd(p, p.derivative())
 
 
-def test_count_real_roots_examples():
-    assert count_real_roots(P([1, 4, 1]), -4, 0) == 2
-    assert count_real_roots(P([1, 0, 1]), -10, 10) == 0
-    assert count_real_roots(X, -1, 1) == 1
-
-
-def test_count_real_roots_rejects_root_endpoints():
-    with pytest.raises(ValueError):
-        count_real_roots(X, 0, 1)
-    with pytest.raises(ValueError):
-        count_real_roots(X, -1, 0)
-    with pytest.raises(ValueError):
-        count_real_roots(X, 1, -1)
-
-
 def test_sturm_chain_rejects_zero():
     with pytest.raises(ValueError):
         sturm_chain(P())
@@ -99,7 +90,7 @@ def test_remainder_sequences_run_on_integer_rows(monkeypatch):
     monkeypatch.setattr(P, "__divmod__", no_divmod)
     assert len(sturm_chain(p).rows) == 5
     assert poly_gcd(p, p.derivative()) == P([1, 1]) * P([F(-1, 3), 1]) ** 2
-    assert count_real_roots(p, -10, 10) == 4
+    assert _sturm_count(p, -10, 10) == 4
     assert not is_real_rooted(p * P([1, 0, 1]))
     assert is_real_rooted(p)
 
@@ -140,7 +131,7 @@ def test_squarefree_reconstruction():
 def test_isolate_quadratic():
     iso = isolate_real_roots(P([1, 4, 1]))
     assert len(iso) == 2 and iso.total_multiplicity == 2
-    first, second = iso.roots
+    first, second = iso
     # roots are -2 +- sqrt(3), approximately -3.732 and -0.268
     assert F(-38, 10) <= first.lo < first.hi <= F(-37, 10)
     assert F(-3, 10) <= second.lo < second.hi <= F(-2, 10)
@@ -149,7 +140,7 @@ def test_isolate_quadratic():
 def test_isolate_repeated_rational_root():
     iso = isolate_real_roots(P([1, 1]) ** 2)
     assert len(iso) == 1
-    (root,) = iso.roots
+    (root,) = iso
     assert root.is_point and root.lo == -1 and root.multiplicity == 2
 
 
@@ -204,7 +195,7 @@ def test_isolation_intervals_are_disjoint_and_sorted():
     p = eulerian_a(7) * P([1, 1])  # shared root at -1 bumps multiplicity
     iso = isolate_real_roots(p)
     assert iso.total_multiplicity == p.degree
-    for a, b in zip(iso.roots, iso.roots[1:]):
+    for a, b in zip(iso, iso[1:]):
         assert a.hi <= b.lo
 
 
@@ -855,9 +846,7 @@ def test_sign_decisions_never_evaluate_fractions(monkeypatch):
     stable = P([2, 1]) * P([1, 1]) * X * P([1, 0, 1])
     assert hermite_biehler_weakly_stable(stable).verdict == WEAKLY_STABLE
     assert is_real_rooted(f * f) and not is_real_rooted(p)
-    assert count_real_roots(p, -2, 2) == 3
-    with pytest.raises(ValueError):
-        count_real_roots(p, -1, 2)
+    assert _sturm_count(p, -2, 2) == 3
 
 
 def test_decisions_never_isolate_roots(monkeypatch):
@@ -926,7 +915,7 @@ def test_isolation_multiplicities_match_sturm_counts(factor_powers):
             if root.is_point:
                 hits = [(q, m) for q, m in factor_powers if q(root.lo) == 0]
             else:
-                hits = [(q, m) for q, m in factor_powers if count_real_roots(q, root.lo, root.hi) == 1]
+                hits = [(q, m) for q, m in factor_powers if _sturm_count(q, root.lo, root.hi) == 1]
             assert root.multiplicity == sum(m * (2 if disc(q) == 0 else 1) for q, m in hits)
 
 
