@@ -41,10 +41,20 @@ def affdes_b(w):
     return des_b(w) + ((a if abs(a) < abs(b) else b) > 0)
 
 
-def test_reference_statistics_on_hand_checked_windows():
+# The reference statistics on hand-checked windows.
+def test_des_a():
     assert [des_a(w) for w in ((1, 2, 3), (3, 2, 1), (2, 1, 3))] == [0, 2, 1]
+
+
+def test_des_b():
     assert [des_b(w) for w in ((1, 2), (-1, -2), (2, -1), (-2, 1))] == [0, 2, 1, 1]
+
+
+def test_des_d():
     assert [des_d(w) for w in ((1, 2), (-1, -2))] == [0, 2]
+
+
+def test_affdes_b():
     assert [affdes_b(w) for w in ((1, 2), (-1, 2))] == [1, 1]
 
 

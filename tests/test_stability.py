@@ -47,7 +47,6 @@ def test_sturm_chain_examples():
     assert _sturm_count(P([-2, 0, 1]), -2, 2) == 2
     assert _sturm_count(P([1, 0, 1]), -10, 10) == 0
     assert _sturm_count(P([1, 4, 1]), -4, 0) == 2
-    assert _sturm_count(X, -1, 1) == 1
 
 
 def test_sturm_chain_structure():
@@ -71,6 +70,12 @@ def test_sturm_chain_ends_at_common_factor():
     chain = sturm_chain(p)
     last = chain.polys[-1]
     assert last.monic() == poly_gcd(p, p.derivative())
+
+
+def test_count_real_roots_examples():
+    assert _sturm_count(P([1, 4, 1]), -4, 0) == 2
+    assert _sturm_count(P([1, 0, 1]), -10, 10) == 0
+    assert _sturm_count(X, -1, 1) == 1
 
 
 def test_sturm_chain_rejects_zero():
