@@ -33,9 +33,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 from .eulerian import FAMILIES, ConsistencyError, FamilyId, ZigzagTable, family_polynomial, zigzag
 from .polynomial import Polynomial, _terms_text
 
-# For annotations only: lab, stability and random load inside the commands
-# that run them, and oracle inside the parser, so that `gen` and `zigzag`
-# start without lab and stability.
+# For annotations only: lab, oracle, stability and random load inside the
+# commands that run them, so that `gen` and `zigzag` start without them.
 if TYPE_CHECKING:
     import random
     from types import ModuleType
@@ -44,11 +43,15 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 FORMATS = ("text", "json", "csv")
-# Lowest --n-max each verify check can run at.
-_CHECK_MIN_RANK = {
-    "identities": 2, "interlacing": 2, "half-reciprocal": 1, "stability": 2, "operator-symbol": 1
+# Lowest and highest --n-max each verify check runs at, and the highest rank
+# of gen (with and without --roots), scan and zigzag.  Each bound is set from
+# measured times (README); oracle's --budget bounds its own work.
+_CHECK_RANKS = {
+    "identities": (2, 300), "interlacing": (2, 60), "half-reciprocal": (1, 60),
+    "stability": (2, 50), "operator-symbol": (1, 300),
 }
-VERIFY_CHECKS = (*_CHECK_MIN_RANK, "all")
+_MAX_RANK = {"gen": 1200, "gen --roots": 100, "scan": 60, "zigzag": 5000}
+VERIFY_CHECKS = (*_CHECK_RANKS, "all")
 _OPERATOR_SEED = 0x0E57AB
 
 
@@ -70,8 +73,6 @@ def _parse_rational_list(text: str) -> List[Fraction]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from . import oracle
-
     parser = argparse.ArgumentParser(
         prog="eulerstab",
         description="Exact Eulerian polynomial families, enumeration oracles, and stability certificates.",
@@ -93,12 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("oracle", help="brute-force distribution polynomials")
-    p.add_argument("--group", required=True, choices=oracle.GROUPS)
-    p.add_argument("--stat", default="des", choices=oracle.STATS)
-    p.add_argument("--filter", default="all", choices=oracle.FILTERS)
+    # The oracle refuses a bad name or rank itself; the parser leaves it unloaded.
+    p.add_argument("--group", required=True)
+    p.add_argument("--stat", default="des")
+    p.add_argument("--filter", default="all")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET, help="enumeration budget")
+    p.add_argument("--budget", type=int, default=None, help="enumeration budget")
     add_format(p)
 
     p = sub.add_parser("verify", help="run verification checks")
@@ -304,8 +306,16 @@ def _top_rank(ns: argparse.Namespace) -> int:
     return hi
 
 
+def _bounded(cmd: str, rank: int) -> int:
+    """rank, or a usage error when it is above cmd's fixed bound."""
+    if rank > _MAX_RANK.get(cmd, rank):
+        raise ValueError(f"{cmd} accepts ranks up to {_MAX_RANK[cmd]}, got {rank}")
+    return rank
+
+
 def _ranks(ns: argparse.Namespace) -> List[int]:
-    return list(range(ns.n, _top_rank(ns) + 1))
+    cmd = "gen --roots" if getattr(ns, "roots", False) else ns.subcommand
+    return list(range(ns.n, _bounded(cmd, _top_rank(ns)) + 1))
 
 
 def _failed(reports: List[VerificationReport]) -> bool:
@@ -340,12 +350,13 @@ def _cmd_gen(ns: argparse.Namespace) -> tuple[str, int]:
 def _cmd_oracle(ns: argparse.Namespace) -> tuple[str, int]:
     from . import oracle
 
+    budget = oracle.DEFAULT_BUDGET if ns.budget is None else ns.budget
     try:
         # The top rank's group is the largest: refuse it before listing any.
-        oracle.check_request(ns.group, ns.stat, _top_rank(ns), ns.filter, ns.budget)
+        oracle.check_request(ns.group, ns.stat, _top_rank(ns), ns.filter, budget)
         records = [
             polynomial_record(
-                oracle.distribution(ns.group, ns.stat, n, ns.filter, budget=ns.budget),
+                oracle.distribution(ns.group, ns.stat, n, ns.filter, budget=budget),
                 group=ns.group,
                 stat=ns.stat,
                 filter=ns.filter,
@@ -381,12 +392,15 @@ _RANK_CHECKS = {
 
 def _verify_reports(ns: argparse.Namespace) -> List[VerificationReport]:
     n_max = ns.n_max
-    wanted = [check for check in _CHECK_MIN_RANK if ns.check in (check, "all")]
+    wanted = [check for check in _CHECK_RANKS if ns.check in (check, "all")]
     if ns.ks is not None and ns.check not in ("stability", "operator-symbol", "all"):
         raise ValueError(f"--ks has no effect on --check {ns.check}")
     for check in wanted:
-        if n_max < _CHECK_MIN_RANK[check]:
-            raise ValueError(f"check {check} needs --n-max >= {_CHECK_MIN_RANK[check]}, got {n_max}")
+        lo, hi = _CHECK_RANKS[check]
+        if n_max < lo:
+            raise ValueError(f"check {check} needs --n-max >= {lo}, got {n_max}")
+        if n_max > hi:
+            raise ValueError(f"check {check} accepts --n-max up to {hi}, got {n_max}")
     import random
 
     from . import lab
@@ -395,7 +409,7 @@ def _verify_reports(ns: argparse.Namespace) -> List[VerificationReport]:
     rng = random.Random(_OPERATOR_SEED)
     for n in range(n_max + 1):
         for check, reports in per_rank.items():
-            if n >= _CHECK_MIN_RANK[check]:
+            if n >= _CHECK_RANKS[check][0]:
                 reports += _RANK_CHECKS[check](lab, n, ns.ks, rng)
     # Each merged report keeps the check id of its per-rank reports.
     return [
@@ -433,7 +447,7 @@ def _cmd_scan(ns: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_zigzag(ns: argparse.Namespace) -> tuple[str, int]:
-    return emit(zigzag(ns.n), ns.fmt), 0
+    return emit(zigzag(_bounded("zigzag", ns.n)), ns.fmt), 0
 
 
 _COMMANDS = {

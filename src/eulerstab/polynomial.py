@@ -13,7 +13,9 @@ Every ring operation and evaluation runs on Python ints, and output prints
 from the row's decimal strings (`coeff_strings`); `coeffs` builds canonical
 Fractions only when it is read.  Only division runs on Fractions.  The gcd
 and Sturm paths share one primitive remainder sequence on integer rows
-(`_remainder_rows`), each pseudo-division run in place on one integer list.
+(`_remainder_rows`): each pseudo-division runs in place on one copy of the
+dividend, and one division by minus the content negates the remainder and
+makes it primitive.
 
 The degree of the zero polynomial is the distinguished marker
 ``NEG_INFINITY`` (``float("-inf")``), which compares below every integer.
@@ -329,30 +331,34 @@ def _primitive(ints: Sequence[int]) -> Tuple[int, ...]:
 def _remainder_rows(p: Polynomial, q: Polynomial) -> List[Tuple[int, ...]]:
     """Primitive integer rows of the nonzero ones among p and q, then the
     negated primitive pseudo-remainder of the last two rows, up to the first
-    zero remainder.  Each pseudo-division runs in place on one list, the
-    negated dividend, top coefficient c first: the part below c is scaled by
+    zero remainder.  Each pseudo-division runs in place on one copy of the
+    dividend, top coefficient c first: the part below c is scaled by
     m / gcd(m, c), m the divisor's |leading coefficient|, only when that is
-    not 1, and a multiple of the divisor clears c.  With every scale positive,
-    a row is the unique primitive form of the negated rational remainder."""
-    rows = [primitive_integer_coeffs(f) for f in (p, q) if not f.is_zero]
+    not 1, and a multiple of the divisor clears c.  Dividing the remainder by
+    minus its content then negates it and makes it primitive in one step.
+    With every scale positive, a row is the unique primitive form of the
+    negated rational remainder."""
+    rows = [_primitive(f._row) for f in (p, q) if f._row]
     while len(rows) > 1:
-        r, b = [-x for x in rows[-2]], rows[-1]
+        r, b = list(rows[-2]), rows[-1]
         s, m = (1, b[-1]) if b[-1] > 0 else (-1, -b[-1])
         d = len(b) - 1
+        low = b[:d]
         for i in range(len(r) - 1, d - 1, -1):
             if r[i]:
                 g = _int_gcd(m, r[i])
-                u, v, k = m // g, s * (r[i] // g), i - d
+                u, v = m // g, s * (r[i] // g)
                 if u != 1:
                     r[:i] = [u * x for x in r[:i]]
-                for j in range(d):
-                    r[k + j] -= v * b[j]
+                for j, c in enumerate(low, i - d):
+                    r[j] -= v * c
         del r[d:]
         while r and not r[-1]:
             r.pop()
         if not r:
             break
-        rows.append(_primitive(r))
+        g = -_int_gcd(*r)
+        rows.append(tuple([x // g for x in r]))
     return rows
 
 

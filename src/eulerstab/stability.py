@@ -123,11 +123,19 @@ def sturm_chain(p: Polynomial) -> SturmChain:
 
 
 def _index(rows: Sequence[Sequence[int]]) -> int:
-    """V(-inf) - V(+inf) of nonzero integer rows (lowest degree first): the
-    Cauchy index Ind(rows[1] / rows[0]) when rows is their signed remainder
-    sequence.  At +inf a row has the sign of its leading coefficient, at
-    -inf that sign flipped for odd degree."""
-    return _changes([r[-1] if len(r) % 2 else -r[-1] for r in rows]) - _changes([r[-1] for r in rows])
+    """V(-inf) - V(+inf) of integer rows (lowest degree first) with nonzero
+    tops, as `_remainder_rows` returns them: the Cauchy index
+    Ind(rows[1] / rows[0]) when rows is their signed remainder sequence.  At
+    +inf a row has the sign of its top, at -inf that sign flipped for odd
+    degree, so two consecutive rows change sign at exactly one of -inf and
+    +inf when their degrees differ by an odd number, and at both or neither
+    otherwise: one pass adds 1 for each odd gap between tops of one sign and
+    subtracts 1 for each odd gap between tops of opposite signs."""
+    ind = 0
+    for a, b in zip(rows, rows[1:]):
+        if (len(a) - len(b)) & 1:
+            ind += 1 if (a[-1] > 0) is (b[-1] > 0) else -1
+    return ind
 
 
 def _count_real(p: Polynomial) -> int:
@@ -442,16 +450,16 @@ def hermite_biehler_weakly_stable(p: Polynomial) -> StabilityCertificate:
     even, odd = p.even_odd_split()
     nonnegative = min(p._row) >= 0
 
-    if even.is_zero or odd.is_zero:
-        ok = nonnegative and is_real_rooted(even if odd.is_zero else odd)
-        if odd.is_zero:
-            ev = HermiteBiehlerEvidence(even, None, None, "degenerate split: odd part vanishes")
-        else:
+    if not even._row or not odd._row:
+        ok = nonnegative and is_real_rooted(odd if odd._row else even)
+        if odd._row:
             ev = HermiteBiehlerEvidence(None, odd, None, "degenerate split: even part vanishes")
+        else:
+            ev = HermiteBiehlerEvidence(even, None, None, "degenerate split: odd part vanishes")
         return StabilityCertificate(WEAKLY_STABLE if ok else UNSTABLE, ev)
 
     interlacing: Optional[bool] = None
-    compatible = odd.degree in (even.degree - 1, even.degree)
+    compatible = 0 <= len(even._row) - len(odd._row) <= 1
     if nonnegative and compatible:
         interlacing = _interlaced(odd, even)
         if interlacing:

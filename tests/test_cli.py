@@ -154,9 +154,42 @@ def test_oracle_budget_refuses_a_huge_top_rank_before_listing_ranks(capsys):
     )
 
 
-def test_oracle_incompatible_exit_2():
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["gen", "--family", "A", "--n", "1", "--n-max", "1000000000000000"], "gen accepts ranks up to 1200"),
+        (["scan", "--conjecture", "stable", "--n", "3", "--n-max", "1000000000000000"], "scan accepts ranks up to 60"),
+        (["verify", "--check", "identities", "--n-max", "1000000000000000"], "identities accepts --n-max up to 300"),
+        (["zigzag", "--n", "1000000000000000"], "zigzag accepts ranks up to 5000"),
+        (["gen", "--family", "A", "--n", "101", "--roots"], "gen --roots accepts ranks up to 100"),
+        (["verify", "--check", "all", "--n-max", "51"], "stability accepts --n-max up to 50"),
+    ],
+)
+def test_rank_above_bound_refused_from_the_rank_alone(argv, bound):
+    # The bound is read before any rank is listed or built; the four huge
+    # ranks were a MemoryError traceback or unbounded work without it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "eulerstab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert bound in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_oracle_incompatible_exit_2(capsys):
     code, _ = _capture(["oracle", "--group", "A", "--stat", "affdes", "--n", "3"])
     assert code == 2
+    # The oracle, not the parser, refuses a name it does not know, in one line.
+    for flag, value in (("--group", "Z"), ("--stat", "bogus"), ("--filter", "bogus")):
+        capsys.readouterr()
+        assert _capture(["oracle", "--group", "B", "--n", "3", flag, value]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +484,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 def test_cli_import_loads_no_layer_before_its_command():
     layers = ["eulerstab.lab", "eulerstab.oracle", "eulerstab.stability"]
     assert _loaded_after("import eulerstab.cli", layers) == "[]\n"
-    # The parser reads the oracle's choices; gen and zigzag run neither lab
-    # nor stability.
+    # The oracle checks its own names, so the parser leaves it unloaded; gen
+    # and zigzag run none of the three layers.
     quiet = "import contextlib, io, eulerstab.cli as c; f = io.StringIO()"
     runs = "c.run(['zigzag', '--n', '5']); c.run(['gen', '--family', 'B', '--n', '4', '--format', 'csv'])"
     out = _loaded_after(f"{quiet}\nwith contextlib.redirect_stdout(f): {runs}", layers)
-    assert out == "['eulerstab.oracle']\n"
+    assert out == "[]\n"
 
 
 def test_every_export_resolves_and_is_listed():

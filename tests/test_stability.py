@@ -429,6 +429,11 @@ def test_weak_stability_examples():
     assert cert.verdict == WEAKLY_STABLE
     assert cert.evidence.odd_part is None
     assert hermite_biehler_weakly_stable(P([-1, 0, 1])).verdict == UNSTABLE
+    # 2 + x + 3x^2 + x^4: the even part (y + 1)(y + 2) and the odd part 1 are
+    # real-rooted with no positive root, but their degrees differ by 2.
+    cert = hermite_biehler_weakly_stable(P([2, 1, 3, 0, 1]))
+    assert cert.verdict == UNSTABLE
+    assert cert.evidence.detail == "even/odd degrees are incompatible with interlacing"
 
 
 def test_weak_stability_evidence():
